@@ -218,13 +218,21 @@ def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
 
 def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
                   lam: np.ndarray, tol: float) -> float:
-    """Minimum weighted fuel attainable on a fixed support."""
+    """Minimum weighted fuel attainable on a fixed feasible support.
+
+    Independent columns allow exactly one control on the support, which
+    is priced directly; only a rank-deficient support needs an LP.  (An
+    overdetermined support is consistent only to roundoff, and the LP
+    would read that as infeasible.)
+    """
     if not support:
         return 0.0
     idx = list(support)
     Phi_S = dp.Phi[:, idx]
     k = len(idx)
     cost = dp.h * lam[idx]
+    if np.linalg.matrix_rank(Phi_S) == k:
+        return float(cost @ np.abs(np.linalg.lstsq(Phi_S, -dp.c, rcond=None)[0]))
     lp = LPProblem(
         c=np.concatenate([cost, cost]),
         A=np.hstack([Phi_S, -Phi_S]),
@@ -301,7 +309,6 @@ def verify_equivalence(problem: ControlProblem,
     thr = options.sparsity_threshold
     support_set = tuple(np.flatnonzero(np.abs(report.signal.U) > thr).tolist())
     l1_support = len(support_set)
-    l1_unpolished = int(np.count_nonzero(np.abs(report.unpolished_signal.U) > thr))
     agree = (l1_support == oracle.min_support
              and support_set in set(oracle.witness_supports))
     equivalence = EquivalenceReport(
@@ -311,7 +318,7 @@ def verify_equivalence(problem: ControlProblem,
         l0_certified_objective=oracle.certified_objective,
         agree=agree,
         witness_supports=oracle.witness_supports,
-        l1_support_unpolished=l1_unpolished,
+        l1_support_unpolished=report.unpolished_support,
         polish_applied=report.polish_applied,
     )
     return equivalence, report

@@ -134,22 +134,15 @@ def _make_kkt_solver(G, dw, ds):
     return solve
 
 
-def solve_ip(lp: LPProblem, tol: float = 1e-8, maxiter: int = 200,
-             gap_tol: float | None = None) -> IPResult:
-    """Solve a box-constrained LP to the requested relative tolerances.
+def solve_ip(lp: LPProblem, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
+    """Solve a box-constrained LP to the requested relative tolerance.
 
-    Terminates optimal when the relative primal and dual residuals drop
-    below ``tol`` and the relative duality gap drops below ``gap_tol``
-    (``tol`` unless given; a looser gap is useful when only the support
-    pattern of the answer matters, e.g. with extreme objective ratios
-    whose gap cannot be resolved past the complementarity roundoff
-    floor).  An infeasible status carries a Farkas certificate in
-    ``farkas_y``: A^T farkas_y <= eps componentwise (treating the bound
-    rows) while b^T farkas_y > 0.
+    Terminates optimal when the relative primal and dual residuals and
+    the relative duality gap all drop below ``tol``.  An infeasible
+    status carries a Farkas certificate in ``farkas_y``: A^T farkas_y <=
+    eps componentwise (treating the bound rows) while b^T farkas_y > 0.
     """
     ne, nv = lp.A.shape
-    if gap_tol is None:
-        gap_tol = tol
 
     # Row equilibration of the equality block; solutions are unchanged and
     # the duals are rescaled on exit.
@@ -247,7 +240,7 @@ def solve_ip(lp: LPProblem, tol: float = 1e-8, maxiter: int = 200,
     (rp_e, rp_b, rd_w, rd_s, rg, cx, by, mu,
      rho_p, rho_d, rho_g, rho_A, rho_mu, raw_p, raw_d) = indicators()
 
-    while rho_p > tol or rho_d > tol or rho_A > gap_tol:
+    while rho_p > tol or rho_d > tol or rho_A > tol:
         if iteration >= maxiter:
             return finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)
         iteration += 1

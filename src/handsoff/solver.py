@@ -3,15 +3,17 @@
 The finite-dimensional program
     minimize    h * sum_k sum_i lambda_i |u_i[k]|
     subject to  ||U||_inf <= 1,   c + Phi @ U == 0,
-is rewritten with split variables U = P - Q, P, Q in [0, 1]^(mN), solved
-by the interior-point engine, and then polished: interior-point methods
-land in the analytic center of the optimal face, which is its least
-sparse point, so a reweighted-L1 crossover walks the answer to a sparse
-vertex of that face without giving up optimality.
+is rewritten with split variables U = P - Q, P, Q in [0, 1]^(mN) and
+solved by the interior-point engine.  Interior-point methods land in the
+relative interior of the optimal face, its least sparse point, so a
+purification crossover (Megiddo 1991) then steps along null directions
+of the fractional columns of Phi to a vertex of that face: every entry
+in {-1, 0, +1} except at most n, the discrete bang-off-bang control.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +23,12 @@ from .errors import DimensionMismatch, NonpositiveWeight
 from .interior_point import IPResult, LPProblem, SolveStatus, solve_ip
 from .model import ControlProblem, ControlSignal, validate_problem
 
-_GOLDEN = 0.6180339887498949
-# Relative size of the multiplicative jitter that breaks exact ties
-# between reweighted-L1 rounds; see polish_to_vertex.
-_JITTER = 1e-4
+# Fuel a crossover vertex may add over the interior point and still be
+# accepted, relative to 1 + |fuel|.
+_ACCEPT = 1e-7
+# A null direction whose fuel slope is below this fraction of its
+# absolute fuel weight is flat: its sign is roundoff, not a fuel change.
+_FLAT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,19 +64,18 @@ class SolverOptions:
     sparsity_threshold: float = 1e-6
     polish: bool = True
     max_iterations: int = 200
-    polish_rounds: int = 10
-    polish_epsilon: float = 1e-6
-    polish_accept: float = 1e-7
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: status, certified objective data, signals.
+    """Outcome of one solve: status, certified objective data, signal.
 
     ``objective`` is recomputed from the returned signal; ``lp_objective``
     and ``dual_objective`` are the primal/dual values certified by the
     interior-point termination, so the pair brackets the true optimum
-    regardless of what the polish did afterwards.
+    regardless of what the crossover did afterwards.
+    ``unpolished_support`` counts the entries of the interior-point
+    control above the sparsity threshold, before the crossover.
     """
 
     status: SolveStatus
@@ -84,7 +87,7 @@ class SolveReport:
     gap_residual: float
     iterations: int
     signal: ControlSignal | None
-    unpolished_signal: ControlSignal | None
+    unpolished_support: int
     terminal_error: float
     polish_applied: bool
     feasibility_slack: float
@@ -112,119 +115,95 @@ def build_lp(dp: DiscretizedPlant, weights: WeightMatrix) -> LPProblem:
     )
 
 
-def _tie_break(n_atoms: int) -> np.ndarray:
-    # Low-discrepancy multiplicative jitter; deterministic across runs.
-    k = np.arange(1, n_atoms + 1, dtype=float)
-    return 1.0 + _JITTER * ((k * _GOLDEN) % 1.0)
+def _first_block(u: np.ndarray, d: np.ndarray) -> tuple[float, int, bool]:
+    """Step along d at which the first fractional entry reaches a level.
 
-
-def _min_fuel_on_support(lp: LPProblem, support: np.ndarray,
-                         options: SolverOptions) -> np.ndarray | None:
-    """Minimize the original fuel objective with all other atoms at zero."""
-    n_atoms = lp.n_vars // 2
-    if support.size == 0:
-        return np.zeros(n_atoms) if np.allclose(lp.b, 0.0) else None
-    cols = lp.A[:, support]
-    cost = lp.c[support]
-    sub = LPProblem(c=np.concatenate([cost, cost]),
-                    A=np.hstack([cols, -cols]),
-                    b=lp.b,
-                    u=np.ones(2 * support.size))
-    result = solve_ip(sub, tol=options.opt_tol, maxiter=options.max_iterations)
-    if result.status is not SolveStatus.OPTIMAL:
-        return None
-    U = np.zeros(n_atoms)
-    U[support] = result.x[:support.size] - result.x[support.size:]
-    return U
+    An entry that d moves toward 0 reaches 0; any other reaches the +-1
+    on its side.  Returns (step, index into u, whether it reaches 0).
+    """
+    shrinks = u * d < 0.0
+    with np.errstate(divide="ignore"):
+        ratio = np.where(shrinks, np.abs(u), 1.0 - np.abs(u)) / np.abs(d)
+    i = int(np.argmin(ratio))
+    return float(ratio[i]), i, bool(shrinks[i])
 
 
 def polish_to_vertex(lp: LPProblem, interior_U: np.ndarray,
                      options: SolverOptions = SolverOptions(),
                      rhs_scale: float | None = None,
                      ) -> tuple[np.ndarray, bool, int]:
-    """Drive an optimal-face point to a sparse vertex of that face.
+    """Purify an optimal-face point to a vertex of that face, with no LP.
 
-    Runs reweighted-L1 rounds, each a full interior-point solve of the
-    original LP with an extra fuel-budget row that pins the objective to
-    the incumbent value (within the acceptance slack), and with atom
-    weights 1 / (|U| + eps) from the previous round.  A deterministic
-    multiplicative jitter on the weights breaks exact ties, which would
-    otherwise leave a perfectly symmetric face stuck at its analytic
-    center.  The rounds stop once the support pattern repeats, a round
-    fails, or ``polish_rounds`` rounds have run; the fuel objective is
-    then re-minimized over the final support alone, which removes both
-    the budget slack and the sub-threshold debris the loose rounds leave
-    behind.
+    Entries within ``sparsity_threshold`` of a level in {-1, 0, +1} are
+    snapped to it; the rest are fractional.  The interior point lies in
+    the relative interior of the optimal face, so moving the fractional
+    entries along a null vector d of their columns of Phi keeps the
+    terminal equality and changes the fuel linearly.  Each step takes d
+    from an SVD of the first n + 1 fractional columns, never goes the
+    way that raises the fuel, prefers (when both ways are flat) the way
+    whose first blocking entry reaches 0, and pins that entry at its
+    level.  The loop ends once the fractional columns are linearly
+    independent, which is a vertex with at most n fractional entries;
+    those are then re-solved by least squares against the pinned ones,
+    which restores the equality to roundoff.
 
-    Returns (control, accepted, rounds).  The polished point is accepted
-    only if it kept the terminal equality, did not raise the fuel
-    objective beyond the acceptance slack, and did not grow the support;
+    Returns (control, accepted, steps).  The vertex is accepted only if
+    it stays within the bounds, its fuel is at most the interior point's
+    plus the acceptance slack, and it keeps the terminal equality;
     otherwise the caller falls back to ``interior_U``.
     """
-    n_atoms = lp.n_vars // 2
-    cost = lp.c[:n_atoms]
+    K = lp.n_vars // 2
+    Phi = lp.A[:, :K]
+    cost = lp.c[:K]
+    n = Phi.shape[0]
     U0 = np.asarray(interior_U, dtype=float)
     J0 = float(cost @ np.abs(U0))
-    budget = 0.5 * options.polish_accept * (1.0 + abs(J0))
     scale = float(np.linalg.norm(lp.b)) if rhs_scale is None else rhs_scale
     thr = options.sparsity_threshold
 
-    face_A = np.zeros((lp.n_rows + 1, lp.n_vars + 1))
-    face_A[:-1, :-1] = lp.A
-    face_A[-1, :-1] = lp.c
-    face_A[-1, -1] = 1.0
-    face_b = np.concatenate([lp.b, [J0 + budget]])
-    face_u = np.concatenate([lp.u, [max(1.0, J0 + budget)]])
-    jitter = _tie_break(n_atoms)
-
-    # The reweighted rounds only need the support pattern; their weight
-    # ratios reach 1/eps, whose duality gap cannot be certified past the
-    # complementarity roundoff floor, so the gap tolerance is relaxed.
-    # Objective and feasibility are restored afterwards on the original
-    # data, and checked, before the polish is accepted.
-    gap_tol = max(options.opt_tol, 1e-6)
-    U = U0
-    support: frozenset[int] | None = None
-    rounds = 0
-    for rounds in range(1, options.polish_rounds + 1):
-        w = jitter / (np.abs(U) + options.polish_epsilon)
-        face_c = np.concatenate([w, w, [0.0]])
-        result = solve_ip(LPProblem(c=face_c, A=face_A, b=face_b, u=face_u),
-                          tol=options.opt_tol, maxiter=options.max_iterations,
-                          gap_tol=gap_tol)
-        if result.status is not SolveStatus.OPTIMAL:
+    U = np.where(np.abs(U0) <= thr, 0.0, U0)
+    U = np.where(np.abs(U) >= 1.0 - thr, np.sign(U), U)
+    pending = iter(np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0)).tolist())
+    S: list[int] = []
+    steps = 0
+    while True:
+        S = [j for j in S if 0.0 < abs(U[j]) < 1.0]
+        S.extend(itertools.islice(pending, n + 1 - len(S)))
+        if not S:
             break
-        U = result.x[:n_atoms] - result.x[n_atoms:2 * n_atoms]
-        new_support = frozenset(np.flatnonzero(np.abs(U) > thr).tolist())
-        if new_support == support:
-            break
-        support = new_support
-    if support is None:
-        return U0, False, rounds
+        _, sv, Vt = np.linalg.svd(Phi[:, S])
+        if sv.size == len(S) and sv[-1] > n * np.finfo(float).eps * sv[0]:
+            break  # independent columns: a vertex
+        d = Vt[-1]
+        u = U[S]
+        slope = float(cost[S] * np.sign(u) @ d)
+        if abs(slope) > _FLAT * float(cost[S] @ np.abs(d)):
+            d = -np.sign(slope) * d
+            t, i, zero = _first_block(u, d)
+        else:
+            t, i, zero = _first_block(u, d)
+            t_neg, i_neg, zero_neg = _first_block(u, -d)
+            if zero_neg and not zero:
+                d, t, i, zero = -d, t_neg, i_neg, zero_neg
+        U[S] = u + t * d
+        U[S[i]] = 0.0 if zero else np.sign(u[i])
+        steps += 1
 
-    restored = _min_fuel_on_support(lp, np.flatnonzero(np.abs(U) > thr), options)
-    if restored is not None:
-        U = restored
+    if S:
+        rhs = lp.b - Phi @ U + Phi[:, S] @ U[S]
+        U[S] = np.linalg.lstsq(Phi[:, S], rhs, rcond=None)[0]
 
-    overshoot = float(np.max(np.abs(U), initial=0.0)) - 1.0
-    if overshoot > 1e-9:
-        return U0, False, rounds
+    within = float(np.max(np.abs(U), initial=0.0)) <= 1.0 + 1e-9
     U = np.clip(U, -1.0, 1.0)
-    J_pol = float(cost @ np.abs(U))
-    eq_err = float(np.linalg.norm(
-        lp.A @ np.concatenate([np.maximum(U, 0.0), np.maximum(-U, 0.0)]) - lp.b))
-    support0 = int(np.count_nonzero(np.abs(U0) > thr))
-    ok = (J_pol <= J0 + options.polish_accept * (1.0 + abs(J0))
-          and eq_err <= options.feas_tol * (1.0 + scale)
-          and int(np.count_nonzero(np.abs(U) > thr)) <= support0)
-    if not ok:
-        return U0, False, rounds
-    return U, True, rounds
+    ok = (within
+          and float(cost @ np.abs(U)) <= J0 + _ACCEPT * (1.0 + abs(J0))
+          and float(np.linalg.norm(Phi @ U - lp.b)) <= options.feas_tol * (1.0 + scale))
+    return (U, True, steps) if ok else (U0, False, steps)
 
 
 def solve(problem: ControlProblem,
           options: SolverOptions = SolverOptions()) -> SolveReport:
-    """Full pipeline: discretize, pre-check, solve, polish, report.
+    """Full pipeline: discretize, pre-check, solve, crossover, report.
 
     The reported objective is always recomputed from the returned signal
     as h * sum lambda |u|, and the terminal error is the Euclidean norm
@@ -246,7 +225,7 @@ def solve(problem: ControlProblem,
             gap_residual=ip.gap_residual if ip else float("nan"),
             iterations=ip.iterations if ip else 0,
             signal=None,
-            unpolished_signal=None,
+            unpolished_support=0,
             terminal_error=float("nan"),
             polish_applied=False,
             feasibility_slack=slack,
@@ -292,7 +271,8 @@ def solve(problem: ControlProblem,
         gap_residual=result.gap_residual,
         iterations=result.iterations,
         signal=ControlSignal(U=U_final, h=h, m=m, N=N),
-        unpolished_signal=ControlSignal(U=U_raw, h=h, m=m, N=N),
+        unpolished_support=int(np.count_nonzero(
+            np.abs(U_raw) > options.sparsity_threshold)),
         terminal_error=terminal_error,
         polish_applied=applied,
         feasibility_slack=slack,

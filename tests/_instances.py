@@ -38,6 +38,17 @@ def feasible_problem(rng: np.random.Generator, n: int, m: int, N: int,
     return ControlProblem(plant=plant, x0=x0, T=T, N=N)
 
 
+def equivalence_instance(seed: int) -> ControlProblem:
+    """One instance of the exhaustive-search set (criterion 4), m*N <= 16."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 3))
+    N = int(rng.integers(4, 16 // m + 1))
+    T = float(rng.uniform(1.0, 5.0))
+    return feasible_problem(rng, n, m, N, T, witness_scale=0.8,
+                            witness_support=int(rng.integers(1, min(4, m * N))))
+
+
 def double_integrator(x0, T: float, N: int) -> ControlProblem:
     plant = PlantModel(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]])
     return ControlProblem(plant=plant, x0=x0, T=T, N=N)

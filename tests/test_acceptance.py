@@ -27,6 +27,7 @@ from handsoff.cli import main as cli_main
 from _instances import (
     certified_rest_to_rest_fuel,
     double_integrator,
+    equivalence_instance,
     feasible_problem,
     scalar_integrator,
 )
@@ -120,16 +121,6 @@ def test_criterion_3_solver_feasibility_and_certification():
             f"{checked} instances, {elapsed:.1f} s; {detail}")
 
 
-def _equivalence_instance(seed: int):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 4))
-    m = int(rng.integers(1, 3))
-    N = int(rng.integers(4, 16 // m + 1))
-    T = float(rng.uniform(1.0, 5.0))
-    return feasible_problem(rng, n, m, N, T, witness_scale=0.8,
-                            witness_support=int(rng.integers(1, min(4, m * N))))
-
-
 def test_criterion_4_equivalence_at_desk_scale():
     started = time.perf_counter()
     failures = []
@@ -137,7 +128,7 @@ def test_criterion_4_equivalence_at_desk_scale():
     if not equivalence.agree:
         failures.append("double integrator anchor")
     for seed in EQUIVALENCE_SEEDS:
-        equivalence, _ = verify_equivalence(_equivalence_instance(seed))
+        equivalence, _ = verify_equivalence(equivalence_instance(seed))
         if not equivalence.agree:
             failures.append(f"seed {seed}: l1={equivalence.l1_support} "
                             f"l0={equivalence.l0_support}")

@@ -23,7 +23,12 @@ from handsoff import (
     verify_equivalence,
 )
 
-from _instances import double_integrator, feasible_problem, scalar_integrator
+from _instances import (
+    double_integrator,
+    equivalence_instance,
+    feasible_problem,
+    scalar_integrator,
+)
 
 
 def signal_of(values, h=0.1, m=1):
@@ -281,7 +286,7 @@ def test_support_ordering_invariant():
         oracle = l0_oracle(dp)
         thr = 1e-6
         polished = np.count_nonzero(np.abs(report.signal.U) > thr)
-        raw = np.count_nonzero(np.abs(report.unpolished_signal.U) > thr)
+        raw = report.unpolished_support
         assert oracle.min_support <= polished <= raw
 
 
@@ -310,6 +315,23 @@ def test_verify_equivalence_exposes_polish_gap():
     assert without.l1_support == 8
     assert without.l1_support_unpolished == 8
     assert without.l0_support == 4
+
+
+def test_verify_equivalence_certifies_overdetermined_support():
+    # the only witness support has a 3 x 2 Phi_S, consistent only to
+    # roundoff; its fuel is still certified rather than read as infeasible
+    problem = equivalence_instance(4)
+    equivalence, _ = verify_equivalence(problem)
+    dp = build_reachability(problem)
+    fuels = []
+    for support in equivalence.witness_supports:
+        cols = dp.Phi[:, list(support)]
+        cost = np.full(2 * len(support), dp.h)
+        ref = linprog(cost, A_eq=np.hstack([cols, -cols]), b_eq=-dp.c,
+                      bounds=(0.0, 1.0), method="highs")
+        assert ref.status == 0
+        fuels.append(ref.fun)
+    assert equivalence.l0_certified_objective == pytest.approx(min(fuels), abs=1e-8)
 
 
 def test_verify_equivalence_bound():

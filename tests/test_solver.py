@@ -17,6 +17,7 @@ from handsoff import (
     polish_to_vertex,
     recompute_objective,
     solve,
+    solve_ip,
 )
 
 from _instances import (
@@ -149,21 +150,24 @@ def test_polish_never_degrades():
                                    int(rng.integers(6, 30)),
                                    T=float(rng.uniform(1.0, 5.0)))
         report = solve(problem)
+        unpolished = solve(problem, SolverOptions(polish=False)).signal
         assert report.status is SolveStatus.OPTIMAL
-        raw = report.unpolished_signal.U
+        raw = unpolished.U
         pol = report.signal.U
-        J_raw = recompute_objective(report.unpolished_signal, problem.weights)
+        J_raw = recompute_objective(unpolished, problem.weights)
         J_pol = recompute_objective(report.signal, problem.weights)
         assert J_pol <= J_raw + 1e-7 * (1 + abs(J_raw))
         assert np.count_nonzero(np.abs(pol) > thr) <= np.count_nonzero(np.abs(raw) > thr)
 
 
 def test_polish_recovers_sparse_vertex_on_symmetric_face():
-    report = solve(scalar_integrator(1.0, 2.0, 8))
+    problem = scalar_integrator(1.0, 2.0, 8)
+    report = solve(problem)
     assert report.polish_applied
-    unpolished = report.unpolished_signal.U
+    unpolished = solve(problem, SolverOptions(polish=False)).signal.U
     polished = report.signal.U
     assert np.count_nonzero(np.abs(unpolished) > 1e-6) == 8
+    assert report.unpolished_support == 8
     active = np.abs(polished) > 1e-6
     assert np.count_nonzero(active) == 4
     assert np.allclose(polished[active], -1.0, atol=1e-6)
@@ -171,9 +175,12 @@ def test_polish_recovers_sparse_vertex_on_symmetric_face():
 
 
 def test_polish_disabled_keeps_interior_point():
-    report = solve(scalar_integrator(1.0, 2.0, 8), SolverOptions(polish=False))
+    problem = scalar_integrator(1.0, 2.0, 8)
+    report = solve(problem, SolverOptions(polish=False))
     assert not report.polish_applied
-    assert np.array_equal(report.signal.U, report.unpolished_signal.U)
+    lp = build_lp(build_reachability(problem), WeightMatrix(lambda_block=[1.0]))
+    x = solve_ip(lp).x
+    assert np.array_equal(report.signal.U, np.clip(x[:8] - x[8:], -1.0, 1.0))
     assert np.count_nonzero(np.abs(report.signal.U) > 1e-6) == 8
 
 
@@ -207,12 +214,15 @@ def test_single_slot_grid():
 
 
 def test_unstable_plant_solves():
-    plant = PlantModel(A=[[0.5]], B=[[1.0]])
-    problem = ControlProblem(plant=plant, x0=[0.1], T=2.0, N=20)
-    report = solve(problem)
-    assert report.status is SolveStatus.OPTIMAL
-    assert report.terminal_error <= 1e-6 * 1.1
-    assert np.max(np.abs(report.signal.U)) <= 1.0 + 1e-9
+    # at T = 20 the terminal-coordinate constraint has entries near e^20;
+    # the crossover's least-squares step is what keeps its error in bounds
+    for a, x0, T, N in ((0.5, 0.1, 2.0, 20), (1.0, 0.5, 20.0, 200)):
+        plant = PlantModel(A=[[a]], B=[[1.0]])
+        problem = ControlProblem(plant=plant, x0=[x0], T=T, N=N)
+        report = solve(problem)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.terminal_error <= 1e-6 * (1 + x0)
+        assert np.max(np.abs(report.signal.U)) <= 1.0 + 1e-9
 
 
 def test_solve_is_deterministic():
@@ -222,3 +232,36 @@ def test_solve_is_deterministic():
     assert np.array_equal(r1.signal.U, r2.signal.U)
     assert r1.objective == r2.objective
     assert r1.iterations == r2.iterations
+
+
+def test_solve_makes_one_interior_point_call(monkeypatch):
+    import handsoff.solver
+
+    calls = []
+    original = handsoff.solver.solve_ip
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(handsoff.solver, "solve_ip", counted)
+    report = solve(scalar_integrator(1.0, 2.0, 8))
+    assert report.polish_applied and report.polish_rounds > 0
+    assert len(calls) == 1
+
+
+def test_large_instance_reaches_simplex_vertex():
+    # the discrete bang-off-bang statement: at most n entries off the levels
+    problem = feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0)
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL
+    U = report.signal.U
+    assert np.count_nonzero((np.abs(U) > 1e-6) & (np.abs(U) < 1 - 1e-9)) <= 4
+    dp = build_reachability(problem)
+    K = dp.Phi.shape[1]
+    lam = np.full(K, dp.h)
+    ref = linprog(np.concatenate([lam, lam]), A_eq=np.hstack([dp.Phi, -dp.Phi]),
+                  b_eq=-dp.c, bounds=(0.0, 1.0), method="highs-ds")
+    U_ref = ref.x[:K] - ref.x[K:]
+    assert np.array_equal(np.abs(U) > 1e-6, np.abs(U_ref) > 1e-6)
+    assert report.objective == pytest.approx(ref.fun, rel=1e-8)
