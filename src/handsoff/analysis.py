@@ -8,7 +8,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import DiscretizedPlant, build_reachability, zoh_discretize
 from .errors import (
@@ -166,11 +165,10 @@ def min_energy_baseline(dp: DiscretizedPlant) -> tuple[ControlSignal, bool]:
     but still useful for comparison.  Raises RankDeficient when
     Phi @ Phi^T is singular to working precision.
     """
-    gram = dp.Phi @ dp.Phi.T
     try:
-        cho = scipy.linalg.cho_factor(gram)
-        U = dp.Phi.T @ scipy.linalg.cho_solve(cho, -dp.c)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        L = np.linalg.cholesky(dp.Phi @ dp.Phi.T)
+        U = dp.Phi.T @ np.linalg.solve(L.T, np.linalg.solve(L, -dp.c))
+    except np.linalg.LinAlgError as exc:
         raise RankDeficient("reachability rows are linearly dependent") from exc
     if not np.all(np.isfinite(U)):
         raise RankDeficient("normal equations produced non-finite values")
@@ -184,7 +182,12 @@ def min_energy_baseline(dp: DiscretizedPlant) -> tuple[ControlSignal, bool]:
 
 def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
                       feas_tol: float, tol: float) -> bool:
-    """Phase-1 check: does some |U| <= 1 on the support hit the target?"""
+    """Does some |U| <= 1 on the support hit the target?
+
+    Independent columns admit at most one control, the least-squares one;
+    clipped to the box, it must miss by at most feas_tol in the phase-1
+    L1 measure.  Only a rank-deficient support solves the phase-1 LP.
+    """
     n = dp.n
     target = -dp.c
     if not support:
@@ -195,6 +198,9 @@ def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
     if np.any(np.abs(target) > np.abs(Phi_S).sum(axis=1) + feas_tol):
         return False
     k = len(support)
+    U, _, rank, _ = np.linalg.lstsq(Phi_S, target, rcond=None)
+    if rank == k:
+        return float(np.abs(Phi_S @ np.clip(U, -1.0, 1.0) - target).sum()) <= feas_tol
     tmax = max(1.0, float(np.max(np.abs(target))) + float(np.max(np.abs(Phi_S).sum(axis=1))))
     lp = LPProblem(
         c=np.concatenate([np.zeros(2 * k), np.ones(2 * n)]),
@@ -202,18 +208,10 @@ def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
         b=target,
         u=np.concatenate([np.ones(2 * k), np.full(2 * n, tmax)]),
     )
-    result = solve_ip(lp, tol=tol, maxiter=200)
-    if result.status is SolveStatus.OPTIMAL:
-        return result.objective <= feas_tol
-    # tiny phase-1 LPs essentially never fail; fall back to an
-    # independent solver rather than guessing
-    from scipy.optimize import linprog
-
-    res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b,
-                  bounds=list(zip(np.zeros(lp.n_vars), lp.u)), method="highs")
-    if res.status not in (0, 2):
-        raise HandsOffError(f"phase-1 feasibility check failed for support {support}")
-    return res.status == 0 and res.fun <= feas_tol
+    result = solve_ip(lp, tol=tol)
+    if result.status is not SolveStatus.OPTIMAL:
+        raise HandsOffError(f"phase-1 LP for support {support}: {result.status.value}")
+    return result.objective <= feas_tol
 
 
 def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
@@ -231,22 +229,22 @@ def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
     Phi_S = dp.Phi[:, idx]
     k = len(idx)
     cost = dp.h * lam[idx]
-    if np.linalg.matrix_rank(Phi_S) == k:
-        return float(cost @ np.abs(np.linalg.lstsq(Phi_S, -dp.c, rcond=None)[0]))
+    U, _, rank, _ = np.linalg.lstsq(Phi_S, -dp.c, rcond=None)
+    if rank == k:
+        return float(cost @ np.abs(U))
     lp = LPProblem(
         c=np.concatenate([cost, cost]),
         A=np.hstack([Phi_S, -Phi_S]),
         b=-dp.c,
         u=np.ones(2 * k),
     )
-    result = solve_ip(lp, tol=tol, maxiter=200)
+    result = solve_ip(lp, tol=tol)
     if result.status is not SolveStatus.OPTIMAL:
         return float("inf")
     return result.objective
 
 
-def l0_oracle(dp: DiscretizedPlant, max_support: int | None = None,
-              weights: WeightMatrix | None = None,
+def l0_oracle(dp: DiscretizedPlant, weights: WeightMatrix | None = None,
               options: SolverOptions = SolverOptions()) -> L0OracleResult:
     """Exhaustive minimum-support search over channel-time atoms.
 
@@ -260,13 +258,12 @@ def l0_oracle(dp: DiscretizedPlant, max_support: int | None = None,
     if K > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundExceeded(
             f"m*N = {K} exceeds the exhaustive enumeration bound of {EXHAUSTIVE_BOUND}")
-    limit = K if max_support is None else min(int(max_support), K)
     lam = (weights or WeightMatrix(np.ones(dp.m))).expand(dp.N)
     feas_tol = options.feas_tol * (1.0 + float(np.linalg.norm(dp.c)))
     lp_tol = min(options.opt_tol, 1e-9)
 
     checked = 0
-    for k in range(limit + 1):
+    for k in range(K + 1):
         witnesses = []
         for support in itertools.combinations(range(K), k):
             checked += 1
@@ -281,7 +278,7 @@ def l0_oracle(dp: DiscretizedPlant, max_support: int | None = None,
                 supports_checked=checked,
             )
     raise InfeasibleProblem(
-        f"no support of size <= {limit} admits a feasible control")
+        f"no support of size <= {K} admits a feasible control")
 
 
 def verify_equivalence(problem: ControlProblem,

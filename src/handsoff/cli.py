@@ -85,7 +85,7 @@ def _sparsity_doc(signal: ControlSignal, threshold: float) -> dict:
     }
 
 
-def _solve_doc(problem: ControlProblem, report, threshold: float) -> dict:
+def _solve_doc(report, threshold: float) -> dict:
     doc = {
         "status": report.status.value,
         "objective": report.objective,
@@ -133,7 +133,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "schema": SCHEMA,
         "command": "solve",
         "problem": _problem_doc(problem),
-        **_solve_doc(problem, report, cfg.options.sparsity_threshold),
+        **_solve_doc(report, cfg.options.sparsity_threshold),
         "wall_time_sec": time.perf_counter() - started,
     }
     if report.signal is not None and cfg.csv_path is not None:
@@ -152,7 +152,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         "schema": SCHEMA,
         "command": "compare",
         "problem": _problem_doc(problem),
-        "l1": _solve_doc(problem, report, cfg.options.sparsity_threshold),
+        "l1": _solve_doc(report, cfg.options.sparsity_threshold),
     }
     dp = build_reachability(problem)
     try:
@@ -272,7 +272,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "schema": SCHEMA,
         "command": "simulate",
         "problem": _problem_doc(problem),
-        **_solve_doc(problem, report, cfg.options.sparsity_threshold),
+        **_solve_doc(report, cfg.options.sparsity_threshold),
         "substeps": cfg.substeps,
     }
     if report.signal is not None:

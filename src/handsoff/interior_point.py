@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NonFiniteInput
 
@@ -103,16 +102,18 @@ def _make_kkt_solver(G, dw, ds):
     M = [[G Dw G^T, G Dw], [Dw G^T, Dw + Ds]],
     with one pass of iterative refinement: M gets very ill-conditioned on
     degenerate faces and the refined solve buys several digits there.
+    The Schur complement S = L L^T takes two triangular solves, or least
+    squares when S is not numerically positive definite.
     """
     E = dw + ds
     dtil = dw * (ds / E)  # harmonic combination without the overflowing product
     S = (G * dtil) @ G.T
     try:
-        cho = scipy.linalg.cho_factor(S, check_finite=False)
+        L = np.linalg.cholesky(S)
 
         def ssolve(r):
-            return scipy.linalg.cho_solve(cho, r, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
+            return np.linalg.solve(L.T, np.linalg.solve(L, r))
+    except np.linalg.LinAlgError:
         def ssolve(r):
             return np.linalg.lstsq(S, r, rcond=None)[0]
 

@@ -63,7 +63,6 @@ class SolverOptions:
     feas_tol: float = 1e-6
     sparsity_threshold: float = 1e-6
     polish: bool = True
-    max_iterations: int = 200
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def solve(problem: ControlProblem,
 
     weights = WeightMatrix(problem.weights)
     lp = build_lp(dp, weights)
-    result = solve_ip(lp, tol=options.opt_tol, maxiter=options.max_iterations)
+    result = solve_ip(lp, tol=options.opt_tol)
     if result.status is not SolveStatus.OPTIMAL:
         return failure(result.status, result)
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import handsoff.analysis
 from handsoff import (
     ControlProblem,
     ControlSignal,
     DimensionMismatch,
     ExhaustiveBoundExceeded,
+    HandsOffError,
     InfeasibleProblem,
     PlantModel,
     RankDeficient,
@@ -22,6 +24,8 @@ from handsoff import (
     sparsity,
     verify_equivalence,
 )
+from handsoff.analysis import _support_feasible
+from handsoff.interior_point import IPResult, SolveStatus
 
 from _instances import (
     double_integrator,
@@ -247,19 +251,62 @@ def test_l0_oracle_infeasible_instance():
         l0_oracle(dp)
 
 
-def test_l0_oracle_feasibility_decisions_match_external_lp():
-    # cross-check the per-support phase-1 verdicts against an
-    # independent solver over every support of the minimal size
-    dp = build_reachability(double_integrator([1.0, 0.0], 5.0, 8))
+@pytest.mark.parametrize("problem", [
+    double_integrator([1.0, 0.0], 5.0, 8),
+    # n = 3: every support below three atoms is overdetermined
+    equivalence_instance(4),
+    equivalence_instance(5),
+    equivalence_instance(18),
+], ids=["anchor", "seed4", "seed5", "seed18"])
+def test_l0_oracle_feasibility_decisions_match_external_lp(problem):
+    # cross-check the per-support verdicts against an independent solver
+    # over every support of the minimal size and of one size below
+    dp = build_reachability(problem)
     result = l0_oracle(dp)
     witnesses = set(result.witness_supports)
     K = dp.Phi.shape[1]
-    for support in itertools.combinations(range(K), result.min_support):
-        cols = dp.Phi[:, list(support)]
-        k = len(support)
-        ref = linprog(np.zeros(k), A_eq=cols, b_eq=-dp.c,
-                      bounds=[(-1.0, 1.0)] * k, method="highs")
-        assert (ref.status == 0) == (support in witnesses)
+    for k in (result.min_support - 1, result.min_support):
+        for support in itertools.combinations(range(K), k):
+            cols = dp.Phi[:, list(support)]
+            ref = linprog(np.zeros(k), A_eq=cols, b_eq=-dp.c,
+                          bounds=[(-1.0, 1.0)] * k, method="highs")
+            assert (ref.status == 0) == (support in witnesses), support
+
+
+def test_l0_oracle_solves_no_lp_on_independent_supports(monkeypatch):
+    # every support of the double-integrator anchor up to the minimum
+    # size has independent columns, so no phase-1 LP is needed
+    calls = []
+    original = handsoff.analysis.solve_ip
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(handsoff.analysis, "solve_ip", counted)
+    result = l0_oracle(build_reachability(double_integrator([1.0, 0.0], 5.0, 8)))
+    assert result.min_support == 2
+    assert len(result.witness_supports) == 15
+    assert calls == []
+
+
+def test_support_check_raises_when_phase1_lp_fails(monkeypatch):
+    # a rank-deficient support that passes the quick reject goes to the
+    # phase-1 LP; a non-optimal outcome there is an error, not a verdict
+    dp = build_reachability(scalar_integrator(1.0, 2.0, 8))
+    support = (0, 1, 2, 3)
+    assert np.linalg.matrix_rank(dp.Phi[:, list(support)]) == 1
+
+    def stalled(lp, **kwargs):
+        nan = float("nan")
+        return IPResult(status=SolveStatus.ITERATION_LIMIT, x=None, y=None,
+                        z_lower=None, z_upper=None, objective=nan,
+                        dual_objective=nan, primal_residual=nan,
+                        dual_residual=nan, gap_residual=nan, iterations=200)
+
+    monkeypatch.setattr(handsoff.analysis, "solve_ip", stalled)
+    with pytest.raises(HandsOffError):
+        _support_feasible(dp, support, feas_tol=1e-6, tol=1e-9)
 
 
 def test_l0_oracle_two_channel_atoms():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,15 @@ def test_solve_writes_document_and_csv(tmp_path):
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "t,u1,x1,x2"
     assert len(lines) == 102  # header + N+1 grid points
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, handsoff.cli; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_infeasible_exit_code(tmp_path):
