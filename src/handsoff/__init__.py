@@ -49,11 +49,11 @@ from .model import (
 from .solver import (
     SolveReport,
     SolverOptions,
-    WeightMatrix,
     build_lp,
     polish_to_vertex,
     recompute_objective,
     solve,
+    solve_discretized,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +82,6 @@ __all__ = [
     "SolveStatus",
     "SolverOptions",
     "SparsityReport",
-    "WeightMatrix",
     "build_lp",
     "build_reachability",
     "feasibility_radius",
@@ -95,6 +94,7 @@ __all__ = [
     "simulate_continuous",
     "simulate_discrete",
     "solve",
+    "solve_discretized",
     "solve_ip",
     "sparsity",
     "validate_problem",

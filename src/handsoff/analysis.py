@@ -18,8 +18,8 @@ from .errors import (
     RankDeficient,
 )
 from .interior_point import LPProblem, SolveStatus, solve_ip
-from .model import ControlProblem, ControlSignal, PlantModel, validate_problem
-from .solver import SolveReport, SolverOptions, WeightMatrix, solve
+from .model import ControlProblem, ControlSignal, PlantModel
+from .solver import SolveReport, SolverOptions, solve_discretized
 
 # Exhaustive support enumeration is capped at this many atoms.
 EXHAUSTIVE_BOUND = 24
@@ -244,7 +244,7 @@ def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
     return result.objective
 
 
-def l0_oracle(dp: DiscretizedPlant, weights: WeightMatrix | None = None,
+def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
               options: SolverOptions = SolverOptions()) -> L0OracleResult:
     """Exhaustive minimum-support search over channel-time atoms.
 
@@ -252,13 +252,14 @@ def l0_oracle(dp: DiscretizedPlant, weights: WeightMatrix | None = None,
     channel-slot pair, i.e. one column of Phi.  Stops at the first
     cardinality admitting a feasible control, returns every witness
     support of that size, and certifies the best weighted fuel value
-    attainable on any witness.
+    attainable on any witness.  ``weights`` holds one weight per channel
+    (default 1 each).
     """
     K = dp.Phi.shape[1]
     if K > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundExceeded(
             f"m*N = {K} exceeds the exhaustive enumeration bound of {EXHAUSTIVE_BOUND}")
-    lam = (weights or WeightMatrix(np.ones(dp.m))).expand(dp.N)
+    lam = np.tile(np.ones(dp.m) if weights is None else weights, dp.N)
     feas_tol = options.feas_tol * (1.0 + float(np.linalg.norm(dp.c)))
     lp_tol = min(options.opt_tol, 1e-9)
 
@@ -291,17 +292,16 @@ def verify_equivalence(problem: ControlProblem,
     is deliberately not compared since ties are common.  Returns the
     report pair (equivalence, solve).
     """
-    problem = validate_problem(problem)
     K = problem.plant.m * int(problem.N)
     if K > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundExceeded(
             f"m*N = {K} exceeds the exhaustive enumeration bound of {EXHAUSTIVE_BOUND}")
-    report = solve(problem, options)
+    dp = build_reachability(problem)
+    report = solve_discretized(dp, problem.weights, options)
     if report.status is not SolveStatus.OPTIMAL:
         raise HandsOffError(
             f"equivalence check needs an optimal solve, got {report.status.value}")
-    dp = build_reachability(problem)
-    oracle = l0_oracle(dp, weights=WeightMatrix(problem.weights), options=options)
+    oracle = l0_oracle(dp, weights=problem.weights, options=options)
 
     thr = options.sparsity_threshold
     support_set = tuple(np.flatnonzero(np.abs(report.signal.U) > thr).tolist())

@@ -3,7 +3,7 @@
 Subcommands: solve, compare, sweep, verify-equivalence, simulate.
 Result documents are JSON with a fixed schema version; trajectory CSVs
 are plot-ready.  Exit codes: 0 success (or equivalence agreement),
-1 error, 2 infeasible, 3 equivalence disagreement.
+1 error (usage errors included), 2 infeasible, 3 equivalence disagreement.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .discretize import build_reachability
 from .errors import HandsOffError, RankDeficient
 from .interior_point import SolveStatus
 from .model import ControlProblem, ControlSignal, read_problem, write_signal
-from .solver import SolverOptions, solve
+from .solver import SolverOptions, solve, solve_discretized
 from . import analysis
 
 SCHEMA = "handsoff-result/1"
@@ -125,10 +125,19 @@ def _status_exit(status: SolveStatus) -> int:
     return EXIT_ERROR
 
 
+def _solve_input(cfg: RunConfig):
+    """Read the input problem, discretize it once, and solve it.
+
+    Returns (problem, dp, report); callers reuse dp for every later stage.
+    """
+    problem = read_problem(cfg.input_path.read_text())
+    dp = build_reachability(problem)
+    return problem, dp, solve_discretized(dp, problem.weights, cfg.options)
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     started = time.perf_counter()
-    problem = read_problem(cfg.input_path.read_text())
-    report = solve(problem, cfg.options)
+    problem, dp, report = _solve_input(cfg)
     document = {
         "schema": SCHEMA,
         "command": "solve",
@@ -137,7 +146,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         "wall_time_sec": time.perf_counter() - started,
     }
     if report.signal is not None and cfg.csv_path is not None:
-        dp = build_reachability(problem)
         traj = simulate_discrete(dp, report.signal, problem.x0)
         cfg.csv_path.write_text(write_signal(report.signal, traj))
     _emit(document, cfg.out_path)
@@ -146,15 +154,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     started = time.perf_counter()
-    problem = read_problem(cfg.input_path.read_text())
-    report = solve(problem, cfg.options)
+    problem, dp, report = _solve_input(cfg)
     document = {
         "schema": SCHEMA,
         "command": "compare",
         "problem": _problem_doc(problem),
         "l1": _solve_doc(report, cfg.options.sparsity_threshold),
     }
-    dp = build_reachability(problem)
     try:
         baseline, violated = min_energy_baseline(dp)
         document["min_energy"] = {
@@ -178,40 +184,30 @@ def cmd_compare(cfg: RunConfig) -> int:
     return _status_exit(report.status)
 
 
-def _sweep_problems(problem: ControlProblem, cfg: RunConfig):
+def _sweep_instance(problem: ControlProblem, cfg: RunConfig,
+                    value: float) -> ControlProblem:
+    """The problem at one grid value; HandsOffError if the value is unusable."""
     if cfg.sweep_T:
         h = problem.h
-        for T in cfg.sweep_T:
-            N_exact = T / h
-            N = round(N_exact)
-            if N < 1 or abs(N_exact - N) > 1e-9 * max(1.0, abs(N_exact)):
-                yield {"T": T}, None, f"T = {T} is not a multiple of h = {h}"
-            else:
-                yield ({"T": T},
-                       dataclasses.replace(problem, T=float(T), N=int(N)),
-                       None)
-    else:
-        for s in cfg.sweep_scale:
-            if s <= 0:
-                yield {"scale": s}, None, f"scale {s} is not positive"
-            else:
-                yield ({"scale": s},
-                       dataclasses.replace(problem, weights=problem.weights * s),
-                       None)
+        N_exact = value / h
+        N = round(N_exact) if np.isfinite(N_exact) else 0
+        if N < 1 or abs(N_exact - N) > 1e-9 * max(1.0, abs(N_exact)):
+            raise HandsOffError(f"T = {value} is not a multiple of h = {h}")
+        return dataclasses.replace(problem, T=float(value), N=int(N))
+    if value <= 0:
+        raise HandsOffError(f"scale {value} is not positive")
+    return dataclasses.replace(problem, weights=problem.weights * value)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     started = time.perf_counter()
     problem = read_problem(cfg.input_path.read_text())
+    key, grid = ("T", cfg.sweep_T) if cfg.sweep_T else ("scale", cfg.sweep_scale)
     rows = []
-    for label, instance, error in _sweep_problems(problem, cfg):
-        row = dict(label)
-        if error is not None:
-            row.update(status="error", error=error)
-            rows.append(row)
-            continue
+    for value in grid:
+        row = {key: value}
         try:
-            report = solve(instance, cfg.options)
+            report = solve(_sweep_instance(problem, cfg, value), cfg.options)
         except HandsOffError as exc:
             row.update(status="error", error=str(exc))
             rows.append(row)
@@ -266,8 +262,7 @@ def cmd_verify_equivalence(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     started = time.perf_counter()
-    problem = read_problem(cfg.input_path.read_text())
-    report = solve(problem, cfg.options)
+    problem, dp, report = _solve_input(cfg)
     document = {
         "schema": SCHEMA,
         "command": "simulate",
@@ -276,7 +271,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "substeps": cfg.substeps,
     }
     if report.signal is not None:
-        dp = build_reachability(problem)
         coarse = simulate_discrete(dp, report.signal, problem.x0)
         fine = simulate_continuous(problem.plant, report.signal, problem.x0,
                                    cfg.substeps)
@@ -351,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name in ("opt_tol", "feas_tol", "threshold"):
-        if getattr(args, name) <= 0:
-            raise HandsOffError(f"--{name.replace('_', '-')} must be positive")
+        value = getattr(args, name)
+        if not (np.isfinite(value) and value > 0):
+            raise HandsOffError(f"--{name.replace('_', '-')} must be finite and positive")
     sweep_T = tuple(getattr(args, "sweep_T", ()) or ())
     sweep_scale = tuple(getattr(args, "sweep_scale", ()) or ())
     if args.subcommand == "sweep" and not (sweep_T or sweep_scale):
@@ -379,8 +374,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 means
+        # "infeasible" here, so a usage error reports EXIT_ERROR instead
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.subcommand](cfg)

@@ -3,7 +3,8 @@
 Converts a continuous-time problem into the data the optimizer consumes:
 the one-step pair (Ad, Bd), the reachability matrix Phi whose block j is
 Ad^(N-1-j) Bd, and the terminal offset c = Ad^N x0, so that the terminal
-state of any stacked control U is c + Phi @ U.
+state of any stacked control U is c + Phi @ U.  A command builds this
+once and hands the same DiscretizedPlant to every later stage.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, NonpositiveHorizon, ProblemTooLarge
-from .model import MEMORY_GUARD, ControlProblem, PlantModel, validate_problem
+from .model import MEMORY_GUARD, ControlProblem, PlantModel
 
 # Degree-13 diagonal Pade coefficients and the matching 1-norm threshold
 # (the standard choice for double precision).
@@ -88,9 +89,10 @@ class DiscretizedPlant:
     h: float
     Phi: np.ndarray  # n x (m*N); block j equals Ad^(N-1-j) Bd
     c: np.ndarray    # Ad^N x0
+    x0: np.ndarray   # initial state
 
     def __post_init__(self):
-        for name in ("Ad", "Bd", "Phi", "c"):
+        for name in ("Ad", "Bd", "Phi", "c", "x0"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -115,7 +117,6 @@ def build_reachability(problem: ControlProblem) -> DiscretizedPlant:
     Ad times block j+1, starting from Bd), and c = Ad^N x0 comes from N
     successive matrix-vector products rather than an explicit Ad^N.
     """
-    problem = validate_problem(problem)
     n, m, N = problem.plant.n, problem.plant.m, int(problem.N)
     if m * N > MEMORY_GUARD:
         raise ProblemTooLarge(f"m*N = {m * N} exceeds the memory guard of {MEMORY_GUARD}")
@@ -127,10 +128,10 @@ def build_reachability(problem: ControlProblem) -> DiscretizedPlant:
     for j in range(N - 2, -1, -1):
         block = Ad @ block
         Phi[:, j * m:(j + 1) * m] = block
-    c = np.asarray(problem.x0, dtype=float)
+    c = problem.x0
     for _ in range(N):
         c = Ad @ c
-    return DiscretizedPlant(Ad=Ad, Bd=Bd, h=h, Phi=Phi, c=c)
+    return DiscretizedPlant(Ad=Ad, Bd=Bd, h=h, Phi=Phi, c=c, x0=problem.x0)
 
 
 def feasibility_radius(dp: DiscretizedPlant) -> float:

@@ -57,7 +57,8 @@ class ControlProblem:
     """Steering task: drive x0 to the origin over [0, T] on an N-slot grid.
 
     ``weights`` are the per-channel fuel weights; omitted weights default
-    to 1 for every channel (uniform weighting).
+    to 1 for every channel (uniform weighting).  Construction runs
+    ``validate_problem``, so every ControlProblem is well formed.
     """
 
     plant: PlantModel
@@ -73,6 +74,7 @@ class ControlProblem:
         else:
             w = np.atleast_1d(self.weights)
         object.__setattr__(self, "weights", _frozen_array(w))
+        validate_problem(self)
 
     @property
     def h(self) -> float:
@@ -158,7 +160,7 @@ def _field_array(doc: dict, key: str) -> np.ndarray:
 
 
 def read_problem(text: str) -> ControlProblem:
-    """Parse a problem document (JSON object) and validate it.
+    """Parse a problem document (JSON object) into a validated problem.
 
     Schema: {"A": [[...]], "B": [[...]], "x0": [...], "T": number,
     "N": integer, "weights": [...] (optional)}.  Matrices are arrays of
@@ -185,9 +187,8 @@ def read_problem(text: str) -> ControlProblem:
     weights = None
     if "weights" in doc and doc["weights"] is not None:
         weights = _field_array(doc, "weights")
-    problem = ControlProblem(plant=PlantModel(A=A, B=B), x0=x0, T=float(T), N=N,
-                             weights=weights)
-    return validate_problem(problem)
+    return ControlProblem(plant=PlantModel(A=A, B=B), x0=x0, T=float(T), N=N,
+                          weights=weights)
 
 
 def write_problem(problem: ControlProblem) -> str:

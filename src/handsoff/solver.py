@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscretizedPlant, build_reachability, feasibility_radius
-from .errors import DimensionMismatch, NonpositiveWeight
+from .errors import DimensionMismatch
 from .interior_point import IPResult, LPProblem, SolveStatus, solve_ip
-from .model import ControlProblem, ControlSignal, validate_problem
+from .model import ControlProblem, ControlSignal
 
 # Fuel a crossover vertex may add over the interior point and still be
 # accepted, relative to 1 + |fuel|.
@@ -29,30 +29,6 @@ _ACCEPT = 1e-7
 # A null direction whose fuel slope is below this fraction of its
 # absolute fuel weight is flat: its sign is roundoff, not a fuel change.
 _FLAT = 1e-12
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Per-channel fuel weights, expanded over the grid on demand."""
-
-    lambda_block: np.ndarray
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lambda_block, dtype=float))
-        if lam.ndim != 1 or lam.size < 1:
-            raise DimensionMismatch(f"weights must be a nonempty vector, got {lam.shape}")
-        if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
-            raise NonpositiveWeight("all weights must be strictly positive")
-        lam.flags.writeable = False
-        object.__setattr__(self, "lambda_block", lam)
-
-    @property
-    def m(self) -> int:
-        return self.lambda_block.size
-
-    def expand(self, N: int) -> np.ndarray:
-        """Weights stacked to match the mN-long control layout."""
-        return np.tile(self.lambda_block, N)
 
 
 @dataclass(frozen=True)
@@ -93,19 +69,20 @@ class SolveReport:
     polish_rounds: int = 0
 
 
-def build_lp(dp: DiscretizedPlant, weights: WeightMatrix) -> LPProblem:
+def build_lp(dp: DiscretizedPlant, weights: np.ndarray) -> LPProblem:
     """Split-variable LP for the discretized fuel problem.
 
     Variables are [P; Q] with U = P - Q and P, Q in [0, 1]^(mN); the
     objective h * lambda @ (P + Q) upper-bounds the fuel and matches it
     whenever P and Q do not overlap, which holds at any optimum.  The
     h factor makes the optimal value approximate the continuous-time
-    fuel integral.
+    fuel integral.  ``weights`` holds one weight per channel.
     """
-    if weights.m != dp.m:
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (dp.m,):
         raise DimensionMismatch(
-            f"weights have {weights.m} channels, plant has {dp.m}")
-    lam = dp.h * weights.expand(dp.N)
+            f"weights have shape {weights.shape}, plant has {dp.m} channels")
+    lam = dp.h * np.tile(weights, dp.N)
     return LPProblem(
         c=np.concatenate([lam, lam]),
         A=np.hstack([dp.Phi, -dp.Phi]),
@@ -202,14 +179,20 @@ def polish_to_vertex(lp: LPProblem, interior_U: np.ndarray,
 
 def solve(problem: ControlProblem,
           options: SolverOptions = SolverOptions()) -> SolveReport:
-    """Full pipeline: discretize, pre-check, solve, crossover, report.
+    """Full pipeline: discretize, pre-check, solve, crossover, report."""
+    return solve_discretized(build_reachability(problem), problem.weights, options)
 
-    The reported objective is always recomputed from the returned signal
-    as h * sum lambda |u|, and the terminal error is the Euclidean norm
-    of c + Phi @ U.
+
+def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
+                      options: SolverOptions = SolverOptions()) -> SolveReport:
+    """Pre-check, solve, crossover and report on already discretized data.
+
+    For callers that hold ``build_reachability(problem)`` and reuse it;
+    ``weights`` are the problem's per-channel weights.  The reported
+    objective is always recomputed from the returned signal as
+    h * sum lambda |u|, and the terminal error is the Euclidean norm of
+    c + Phi @ U.
     """
-    problem = validate_problem(problem)
-    dp = build_reachability(problem)
     slack = feasibility_radius(dp)
     m, N, h = dp.m, dp.N, dp.h
 
@@ -233,7 +216,6 @@ def solve(problem: ControlProblem,
     if slack < 0:
         return failure(SolveStatus.INFEASIBLE)
 
-    weights = WeightMatrix(problem.weights)
     lp = build_lp(dp, weights)
     result = solve_ip(lp, tol=options.opt_tol)
     if result.status is not SolveStatus.OPTIMAL:
@@ -245,7 +227,7 @@ def solve(problem: ControlProblem,
     if overshoot > 1e-9:
         return failure(SolveStatus.NUMERICAL_FAILURE, result)
     U_raw = np.clip(U_raw, -1.0, 1.0)
-    x0_norm = float(np.linalg.norm(problem.x0))
+    x0_norm = float(np.linalg.norm(dp.x0))
 
     rounds = 0
     applied = False
@@ -281,5 +263,5 @@ def solve(problem: ControlProblem,
 
 def recompute_objective(signal: ControlSignal, weights: np.ndarray) -> float:
     """h * sum_k sum_i lambda_i |u_i[k]| for an arbitrary signal."""
-    lam = WeightMatrix(weights).expand(signal.N)
+    lam = np.tile(weights, signal.N)
     return float(signal.h * (lam @ np.abs(signal.U)))

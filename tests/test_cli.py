@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import handsoff.discretize
+import handsoff.model
 from handsoff.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -59,10 +62,67 @@ def test_solve_missing_file_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_solve_rejects_bad_tolerance():
+def test_solve_rejects_bad_tolerance(capsys):
     code = run(["solve", "--input", PROBLEMS / "scalar_integrator.json",
                 "--opt-tol", "-1"])
     assert code == 1
+    # NaN passes a "<= 0" test and inf accepts any control, so both are refused
+    for flag in ("--opt-tol", "--feas-tol", "--threshold"):
+        for value in ("nan", "inf"):
+            code = run(["solve", "--input", PROBLEMS / "double_integrator.json",
+                        flag, value])
+            assert code == 1, (flag, value)
+            assert "must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["solve"],                                              # missing --input
+    ["solve", "--input", PROBLEMS / "scalar_integrator.json", "--opt-tol", "abc"],
+    ["sweep", "--input", PROBLEMS / "scalar_integrator.json", "--sweep-T", "abc"],
+    ["no-such-command"],
+])
+def test_usage_error_exits_1_not_the_infeasible_code(args, capsys):
+    assert run(args) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert run(["solve", "--help"]) == 0
+    assert "--input" in capsys.readouterr().out
+
+
+COUNTED = (
+    (handsoff.model, "validate_problem"),
+    (handsoff.discretize, "build_reachability"),
+    (handsoff.discretize, "zoh_discretize"),
+)
+
+
+@pytest.mark.parametrize("command, zoh_calls", [
+    ("solve", 1),
+    ("compare", 1),
+    ("verify-equivalence", 1),
+    ("simulate", 2),  # the second is simulate_continuous's fine step
+])
+def test_each_layer_runs_once_per_command(command, zoh_calls, tmp_path, monkeypatch):
+    calls = Counter()
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "handsoff"]
+    for home, name in COUNTED:
+        fn = getattr(home, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    args = [command, "--input", PROBLEMS / "double_integrator_n8.json",
+            "--out", tmp_path / "doc.json"]
+    if command != "verify-equivalence":
+        args += ["--csv", tmp_path / "traj.csv"]
+    assert run(args) == 0
+    assert calls == {"validate_problem": 1, "build_reachability": 1,
+                     "zoh_discretize": zoh_calls}
 
 
 def test_solve_stdout_document(capsys):
@@ -147,6 +207,22 @@ def test_sweep_flags_infeasible_row_and_continues(tmp_path):
     assert rows[0]["status"] == "infeasible"  # reachable set [-1,1] misses 1.5
     assert rows[1]["status"] == "optimal"
     assert rows[2]["status"] == "optimal"
+
+
+@pytest.mark.parametrize("grid, error", [
+    (["--sweep-T", "10,inf"], "is not a multiple of h"),
+    (["--sweep-T", "10,nan"], "is not a multiple of h"),
+    (["--sweep-scale", "1,nan"], "weights contain non-finite entries"),
+])
+def test_sweep_reports_unusable_grid_value_as_row_error(grid, error, tmp_path):
+    out = tmp_path / "sweep.json"
+    code = run(["sweep", "--input", PROBLEMS / "double_integrator.json", *grid,
+                "--out", out])
+    assert code == 0
+    rows = load(out)["rows"]
+    assert rows[0]["status"] == "optimal"
+    assert rows[1]["status"] == "error"
+    assert error in rows[1]["error"]
 
 
 def test_sweep_requires_grid():

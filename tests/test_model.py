@@ -61,17 +61,15 @@ def test_negative_weight_rejected():
 
 
 def test_shape_contradiction_rejected():
-    p = ControlProblem(plant=PlantModel(A=np.zeros((2, 2)), B=np.zeros((3, 1))),
-                       x0=[1.0, 0.0], T=1.0, N=10)
     with pytest.raises(DimensionMismatch):
-        validate_problem(p)
+        ControlProblem(plant=PlantModel(A=np.zeros((2, 2)), B=np.zeros((3, 1))),
+                       x0=[1.0, 0.0], T=1.0, N=10)
 
 
 def test_nonsquare_A_rejected():
-    p = ControlProblem(plant=PlantModel(A=np.zeros((2, 3)), B=np.zeros((2, 1))),
-                       x0=[1.0, 0.0], T=1.0, N=10)
     with pytest.raises(DimensionMismatch):
-        validate_problem(p)
+        ControlProblem(plant=PlantModel(A=np.zeros((2, 3)), B=np.zeros((2, 1))),
+                       x0=[1.0, 0.0], T=1.0, N=10)
 
 
 @pytest.mark.parametrize("bad_T", [0.0, -1.0])
@@ -96,9 +94,8 @@ def test_wrong_weights_length_rejected():
 
 
 def test_non_finite_plant_rejected():
-    p = scalar_problem(plant=PlantModel(A=[[np.nan]], B=[[1.0]]))
     with pytest.raises(NonFiniteInput):
-        validate_problem(p)
+        scalar_problem(plant=PlantModel(A=[[np.nan]], B=[[1.0]]))
 
 
 def test_read_double_integrator_document():

@@ -7,11 +7,9 @@ from scipy.optimize import linprog
 from handsoff import (
     ControlProblem,
     DimensionMismatch,
-    NonpositiveWeight,
     PlantModel,
     SolveStatus,
     SolverOptions,
-    WeightMatrix,
     build_lp,
     build_reachability,
     polish_to_vertex,
@@ -39,27 +37,22 @@ def fuel_reference(problem):
     return res
 
 
-def test_weight_matrix_rejects_nonpositive():
-    with pytest.raises(NonpositiveWeight):
-        WeightMatrix(lambda_block=[1.0, 0.0])
-
-
 def test_build_lp_objective_scaling():
     # one atom, weight 2, step 0.5: both split variables cost 1
     dp = build_reachability(scalar_integrator(1.0, 0.5, 1))
-    lp = build_lp(dp, WeightMatrix(lambda_block=[2.0]))
+    lp = build_lp(dp, np.array([2.0]))
     assert np.allclose(lp.c, [1.0, 1.0])
 
 
 def test_build_lp_zero_state_rhs():
     dp = build_reachability(scalar_integrator(0.0, 1.0, 4))
-    lp = build_lp(dp, WeightMatrix(lambda_block=[1.0]))
+    lp = build_lp(dp, np.array([1.0]))
     assert np.array_equal(lp.b, np.zeros(1))
 
 
 def test_build_lp_equality_blocks():
     dp = build_reachability(double_integrator([1.0, 0.0], 2.0, 2))
-    lp = build_lp(dp, WeightMatrix(lambda_block=[1.0]))
+    lp = build_lp(dp, np.array([1.0]))
     assert np.allclose(lp.A, np.hstack([dp.Phi, -dp.Phi]))
     assert np.array_equal(lp.u, np.ones(4))
 
@@ -67,7 +60,7 @@ def test_build_lp_equality_blocks():
 def test_build_lp_channel_count_checked():
     dp = build_reachability(scalar_integrator(1.0, 1.0, 2))
     with pytest.raises(DimensionMismatch):
-        build_lp(dp, WeightMatrix(lambda_block=[1.0, 1.0]))
+        build_lp(dp, np.array([1.0, 1.0]))
 
 
 def test_zero_initial_state_solves_to_zero():
@@ -178,7 +171,7 @@ def test_polish_disabled_keeps_interior_point():
     problem = scalar_integrator(1.0, 2.0, 8)
     report = solve(problem, SolverOptions(polish=False))
     assert not report.polish_applied
-    lp = build_lp(build_reachability(problem), WeightMatrix(lambda_block=[1.0]))
+    lp = build_lp(build_reachability(problem), np.array([1.0]))
     x = solve_ip(lp).x
     assert np.array_equal(report.signal.U, np.clip(x[:8] - x[8:], -1.0, 1.0))
     assert np.count_nonzero(np.abs(report.signal.U) > 1e-6) == 8
@@ -188,7 +181,7 @@ def test_polish_to_vertex_direct_call_on_unique_optimum():
     # single-point optimal face: polishing must return the same point
     problem = double_integrator([1.0, 0.0], 5.0, 8)
     dp = build_reachability(problem)
-    lp = build_lp(dp, WeightMatrix(lambda_block=[1.0]))
+    lp = build_lp(dp, np.array([1.0]))
     report = solve(problem, SolverOptions(polish=False))
     U0 = report.signal.U
     U, accepted, _ = polish_to_vertex(lp, U0)
