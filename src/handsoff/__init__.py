@@ -36,7 +36,7 @@ from .errors import (
     ProblemTooLarge,
     RankDeficient,
 )
-from .interior_point import IPResult, LPProblem, SolveStatus, solve_ip
+from .interior_point import IPResult, L1Program, SolveStatus, solve_ip
 from .model import (
     ControlProblem,
     ControlSignal,
@@ -69,8 +69,8 @@ __all__ = [
     "InfeasibleProblem",
     "IPResult",
     "L0OracleResult",
+    "L1Program",
     "LengthMismatch",
-    "LPProblem",
     "NonFiniteInput",
     "NonpositiveHorizon",
     "NonpositiveWeight",

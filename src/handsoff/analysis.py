@@ -15,10 +15,11 @@ from .errors import (
     ExhaustiveBoundExceeded,
     HandsOffError,
     InfeasibleProblem,
+    ProblemTooLarge,
     RankDeficient,
 )
-from .interior_point import LPProblem, SolveStatus, solve_ip
-from .model import ControlProblem, ControlSignal, PlantModel
+from .interior_point import L1Program, SolveStatus, solve_ip
+from .model import MEMORY_GUARD, ControlProblem, ControlSignal, PlantModel
 from .solver import SolveReport, SolverOptions, solve_discretized
 
 # Exhaustive support enumeration is capped at this many atoms.
@@ -113,11 +114,15 @@ def simulate_continuous(plant: PlantModel, signal: ControlSignal,
     step h/substeps, which is exact for an LTI plant under a held input;
     ``method="rk4"`` uses classical 4th-order Runge-Kutta at the same
     resolution and exists as an independent cross-check.  Returns the
-    fine trajectory with N*substeps + 1 rows.
+    fine trajectory with N*substeps + 1 rows; more than the memory guard
+    raises ProblemTooLarge before anything is allocated.
     """
     if int(substeps) != substeps or substeps < 1:
         raise DimensionMismatch(f"substeps must be a positive integer, got {substeps}")
     substeps = int(substeps)
+    if signal.N * substeps > MEMORY_GUARD:
+        raise ProblemTooLarge(
+            f"N*substeps = {signal.N * substeps} exceeds the memory guard of {MEMORY_GUARD}")
     x0 = np.asarray(x0, dtype=float).ravel()
     n = plant.n
     if x0.size != n:
@@ -202,11 +207,12 @@ def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
     if rank == k:
         return float(np.abs(Phi_S @ np.clip(U, -1.0, 1.0) - target).sum()) <= feas_tol
     tmax = max(1.0, float(np.max(np.abs(target))) + float(np.max(np.abs(Phi_S).sum(axis=1))))
-    lp = LPProblem(
-        c=np.concatenate([np.zeros(2 * k), np.ones(2 * n)]),
-        A=np.hstack([Phi_S, -Phi_S, np.eye(n), -np.eye(n)]),
+    # min sum |t| subject to Phi_S U + t == target, |U| <= 1
+    lp = L1Program(
+        M=np.hstack([Phi_S, np.eye(n)]),
         b=target,
-        u=np.concatenate([np.ones(2 * k), np.full(2 * n, tmax)]),
+        w=np.concatenate([np.zeros(k), np.ones(n)]),
+        ub=np.concatenate([np.ones(k), np.full(n, tmax)]),
     )
     result = solve_ip(lp, tol=tol)
     if result.status is not SolveStatus.OPTIMAL:
@@ -232,13 +238,7 @@ def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
     U, _, rank, _ = np.linalg.lstsq(Phi_S, -dp.c, rcond=None)
     if rank == k:
         return float(cost @ np.abs(U))
-    lp = LPProblem(
-        c=np.concatenate([cost, cost]),
-        A=np.hstack([Phi_S, -Phi_S]),
-        b=-dp.c,
-        u=np.ones(2 * k),
-    )
-    result = solve_ip(lp, tol=tol)
+    result = solve_ip(L1Program(M=Phi_S, b=-dp.c, w=cost, ub=1.0), tol=tol)
     if result.status is not SolveStatus.OPTIMAL:
         return float("inf")
     return result.objective

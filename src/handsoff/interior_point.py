@@ -1,19 +1,27 @@
-"""Dense primal-dual interior-point solver for box-constrained LPs.
+"""Dense primal-dual interior-point solver for the weighted L1 program.
 
 Solves
-    minimize    c @ x
-    subject to  A @ x == b,   0 <= x <= u,
+    minimize    w @ |v|
+    subject to  M @ v == b,   |v| <= ub,
 
-with Mehrotra predictor-corrector steps on the homogeneous self-dual
-embedding of the equivalent standard-form program (upper bounds become
-rows x + s = u with slack variables s).  The embedding makes status
+the one program the package has: the discretized minimum-fuel control,
+and the phase-1 and fixed-support programs of the exhaustive oracle.
+
+Internally v = p - q with p, q in [0, ub], which is the box LP
+min [w; w] @ [p; q] subject to [M, -M] @ [p; q] == b.  The split is a
+private detail: [M, -M] is never formed, and every product with it is
+one product with M (``_split_dot``, ``_split_tdot``).  The box LP is
+solved with Mehrotra predictor-corrector steps on the homogeneous
+self-dual embedding of its standard form (upper bounds become rows
+x + s = u with slack variables s).  The embedding makes status
 detection certificate-based: an infeasible flag is only reported after
 the scaled dual iterate passes an explicit Farkas check.
 
 The bound rows are never materialized.  Each KKT solve eliminates the
-diagonal slack blocks first, leaving an ne x ne Schur complement (ne =
-number of equality rows), so one iteration costs O(ne^2 nv + ne^3) for
-nv variables.
+diagonal slack blocks first, leaving the n x n Schur complement
+M diag(d_p + d_q) M^T (n = number of equality rows), factored once per
+iteration and solved once per right-hand side, so one iteration costs
+O(n^2 K + n^3) for K entries of v.
 """
 
 from __future__ import annotations
@@ -40,51 +48,47 @@ class SolveStatus(Enum):
 
 
 @dataclass(frozen=True)
-class LPProblem:
-    """min c @ x subject to A @ x == b and 0 <= x <= u."""
+class L1Program:
+    """min w @ |v| subject to M @ v == b and |v| <= ub.
 
-    c: np.ndarray
-    A: np.ndarray
+    ``ub`` may be a scalar, shared by every entry of v.
+    """
+
+    M: np.ndarray
     b: np.ndarray
-    u: np.ndarray
+    w: np.ndarray
+    ub: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).ravel()
-        A = np.asarray(self.A, dtype=float)
+        M = np.asarray(self.M, dtype=float)
         b = np.asarray(self.b, dtype=float).ravel()
-        u = np.asarray(self.u, dtype=float).ravel()
-        if A.ndim != 2:
-            raise DimensionMismatch(f"equality matrix must be 2-D, got shape {A.shape}")
-        ne, nv = A.shape
-        if c.size != nv or u.size != nv or b.size != ne:
+        w = np.asarray(self.w, dtype=float).ravel()
+        ub = np.asarray(self.ub, dtype=float)
+        if M.ndim != 2:
+            raise DimensionMismatch(f"equality matrix must be 2-D, got shape {M.shape}")
+        n, K = M.shape
+        ub = np.full(K, float(ub)) if ub.ndim == 0 else ub.ravel()
+        if w.size != K or ub.size != K or b.size != n:
             raise DimensionMismatch(
-                f"inconsistent LP dimensions: A is {ne} x {nv}, "
-                f"c has {c.size}, b has {b.size}, u has {u.size}")
-        if not all(np.all(np.isfinite(a)) for a in (c, A, b, u)):
-            raise NonFiniteInput("LP data contains non-finite entries")
-        if np.any(u <= 0):
-            raise DimensionMismatch("all upper bounds must be strictly positive")
-        for name, arr in (("c", c), ("A", A), ("b", b), ("u", u)):
+                f"inconsistent program dimensions: M is {n} x {K}, "
+                f"b has {b.size}, w has {w.size}, ub has {ub.size}")
+        if not all(np.all(np.isfinite(a)) for a in (M, b, w, ub)):
+            raise NonFiniteInput("program data contains non-finite entries")
+        if np.any(ub <= 0):
+            raise DimensionMismatch("all bounds must be strictly positive")
+        if np.any(w < 0):
+            raise DimensionMismatch("all weights must be nonnegative")
+        for name, arr in (("M", M), ("b", b), ("w", w), ("ub", ub)):
             object.__setattr__(self, name, arr)
-
-    @property
-    def n_rows(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_vars(self) -> int:
-        return self.A.shape[1]
 
 
 @dataclass(frozen=True)
 class IPResult:
-    """Raw interior-point outcome for a box-constrained LP."""
+    """Raw interior-point outcome for an L1 program."""
 
     status: SolveStatus
-    x: np.ndarray | None
+    x: np.ndarray | None          # the signed v
     y: np.ndarray | None          # equality duals
-    z_lower: np.ndarray | None    # duals of x >= 0
-    z_upper: np.ndarray | None    # duals of x <= u
     objective: float
     dual_objective: float
     primal_residual: float
@@ -94,20 +98,35 @@ class IPResult:
     farkas_y: np.ndarray | None = None
 
 
+def _split_dot(G, x):
+    """[G, -G] @ x for a split vector x = [p; q]."""
+    K = G.shape[1]
+    return G @ (x[:K] - x[K:])
+
+
+def _split_tdot(G, y):
+    """[G, -G].T @ y."""
+    t = G.T @ y
+    return np.concatenate([t, -t])
+
+
 def _make_kkt_solver(G, dw, ds):
     """Factor the normal-equations operator for the current scaling.
 
-    dw and ds are the diagonal primal/dual ratios of the box variables
-    and their slacks.  Returns a solver for M v = r with
-    M = [[G Dw G^T, G Dw], [Dw G^T, Dw + Ds]],
-    with one pass of iterative refinement: M gets very ill-conditioned on
-    degenerate faces and the refined solve buys several digits there.
-    The Schur complement S = L L^T takes two triangular solves, or least
-    squares when S is not numerically positive definite.
+    G is the row-scaled n x K equality matrix; dw and ds are the diagonal
+    primal/dual ratios of the 2K split box variables and of their slacks.
+    Returns a solver for M v = r with A = [G, -G] and
+    M = [[A Dw A^T, A Dw], [Dw A^T, Dw + Ds]].
+    The slack block is eliminated, leaving the Schur complement
+    S = G diag(d_p + d_q) G^T, the split halves of the harmonic
+    combination of dw and ds summed.  S = L L^T takes two triangular
+    solves per right-hand side, or least squares when S is not
+    numerically positive definite.
     """
+    K = G.shape[1]
     E = dw + ds
     dtil = dw * (ds / E)  # harmonic combination without the overflowing product
-    S = (G * dtil) @ G.T
+    S = (G * (dtil[:K] + dtil[K:])) @ G.T
     try:
         L = np.linalg.cholesky(S)
 
@@ -117,58 +136,50 @@ def _make_kkt_solver(G, dw, ds):
         def ssolve(r):
             return np.linalg.lstsq(S, r, rcond=None)[0]
 
-    def solve_once(re, rb):
-        ve = ssolve(re - G @ (dw / E * rb))
-        vb = (rb - dw * (G.T @ ve)) / E
-        return ve, vb
-
     def solve(re, rb):
-        ve, vb = solve_once(re, rb)
-        res_e = re - (G @ (dw * (G.T @ ve)) + G @ (dw * vb))
-        res_b = rb - (dw * (G.T @ ve) + E * vb)
-        if np.all(np.isfinite(res_e)) and np.all(np.isfinite(res_b)):
-            ce, cb = solve_once(res_e, res_b)
-            ve = ve + ce
-            vb = vb + cb
+        ve = ssolve(re - _split_dot(G, dw / E * rb))
+        vb = (rb - dw * _split_tdot(G, ve)) / E
         return ve, vb
 
     return solve
 
 
-def solve_ip(lp: LPProblem, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
-    """Solve a box-constrained LP to the requested relative tolerance.
+def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
+    """Solve an L1 program to the requested relative tolerance.
 
     Terminates optimal when the relative primal and dual residuals and
     the relative duality gap all drop below ``tol``.  An infeasible
-    status carries a Farkas certificate in ``farkas_y``: A^T farkas_y <=
-    eps componentwise (treating the bound rows) while b^T farkas_y > 0.
+    status carries the equality-row ray ``farkas_y``, an n-vector in the
+    original row units with b @ y > sum_j ub_j |M[:, j] @ y|: no v in the
+    box reaches b.
     """
-    ne, nv = lp.A.shape
+    n, K = lp.M.shape
+    nv = 2 * K
 
     # Row equilibration of the equality block; solutions are unchanged and
     # the duals are rescaled on exit.
-    row_scale = np.maximum(np.max(np.abs(lp.A), axis=1), np.abs(lp.b))
+    row_scale = np.maximum(np.max(np.abs(lp.M), axis=1), np.abs(lp.b))
     row_scale[row_scale == 0] = 1.0
-    G = lp.A / row_scale[:, None]
+    G = lp.M / row_scale[:, None]
     beq = lp.b / row_scale
-    cscale = float(np.max(np.abs(lp.c))) if nv else 1.0
+    cscale = float(np.max(lp.w)) if K else 1.0
     if cscale == 0.0:
         cscale = 1.0
-    c = lp.c / cscale
-    u = lp.u
+    c = np.concatenate([lp.w, lp.w]) / cscale
+    u = np.concatenate([lp.ub, lp.ub])
 
     def A_dot(xw, xs):
-        return G @ xw, xw + xs
+        return _split_dot(G, xw), xw + xs
 
     def AT_dot(ye, yb):
-        return G.T @ ye + yb, yb
+        return _split_tdot(G, ye) + yb, yb
 
     # Blind start of the homogeneous embedding.
     xw = np.ones(nv)
     xs = np.ones(nv)
     zw = np.ones(nv)
     zs = np.ones(nv)
-    ye = np.zeros(ne)
+    ye = np.zeros(n)
     yb = np.zeros(nv)
     tau = 1.0
     kappa = 1.0
@@ -225,16 +236,12 @@ def solve_ip(lp: LPProblem, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
         if status is SolveStatus.OPTIMAL:
             x = xw / tau
             y = cscale * (ye / row_scale) / tau
-            z_lo = cscale * zw / tau
-            z_up = cscale * (-yb) / tau
             obj = cscale * (c @ xw) / tau
             dobj = cscale * (beq @ ye + u @ yb) / tau
-            return IPResult(status, x, y, z_lo, z_up, float(obj), float(dobj),
+            return IPResult(status, x[:K] - x[K:], y, float(obj), float(dobj),
                             rho_p, rho_d, rho_A, it)
-        farkas = None
-        if status is SolveStatus.INFEASIBLE:
-            farkas = np.concatenate([ye / row_scale, yb])
-        return IPResult(status, None, None, None, None, float("nan"), float("nan"),
+        farkas = ye / row_scale if status is SolveStatus.INFEASIBLE else None
+        return IPResult(status, None, None, float("nan"), float("nan"),
                         rho_p, rho_d, rho_A, it, farkas_y=farkas)
 
     iteration = 0
@@ -260,7 +267,7 @@ def solve_ip(lp: LPProblem, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             # M v = r2 + A D r1 ; then u = D (A^T v - r1).
             tw = dw * r1w
             ts = ds * r1s
-            ve, vb = solve_kkt(r2e + G @ tw, r2b + tw + ts)
+            ve, vb = solve_kkt(r2e + _split_dot(G, tw), r2b + tw + ts)
             at_w, at_s = AT_dot(ve, vb)
             return dw * (at_w - r1w), ds * (at_s - r1s), ve, vb
 
@@ -328,15 +335,15 @@ def solve_ip(lp: LPProblem, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
                 and tau <= tol * max(1.0, kappa))
         inf2 = rho_mu <= tol and tau <= tol * min(1.0, kappa)
         if inf1 or inf2:
-            if by > tol and _farkas_certified(G, beq, u, ye, yb, by):
+            if by > tol and _farkas_certified(G, ye, yb, by):
                 return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A)
             return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
 
     return finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A)
 
 
-def _farkas_certified(G, beq, u, ye, yb, by) -> bool:
+def _farkas_certified(G, ye, yb, by) -> bool:
     """Check A^T y <= eps and b^T y > 0 for the infeasibility witness."""
-    at_w = G.T @ ye + yb
+    at_w = _split_tdot(G, ye) + yb
     viol = max(float(np.max(at_w, initial=0.0)), float(np.max(yb, initial=0.0)), 0.0)
     return viol <= _FARKAS_RTOL * by

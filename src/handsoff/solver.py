@@ -3,12 +3,12 @@
 The finite-dimensional program
     minimize    h * sum_k sum_i lambda_i |u_i[k]|
     subject to  ||U||_inf <= 1,   c + Phi @ U == 0,
-is rewritten with split variables U = P - Q, P, Q in [0, 1]^(mN) and
-solved by the interior-point engine.  Interior-point methods land in the
-relative interior of the optimal face, its least sparse point, so a
-purification crossover (Megiddo 1991) then steps along null directions
-of the fractional columns of Phi to a vertex of that face: every entry
-in {-1, 0, +1} except at most n, the discrete bang-off-bang control.
+is handed to the interior-point engine as one weighted L1 program.
+Interior-point methods land in the relative interior of the optimal
+face, its least sparse point, so a purification crossover (Megiddo
+1991) then steps along null directions of the fractional columns of Phi
+to a vertex of that face: every entry in {-1, 0, +1} except at most n,
+the discrete bang-off-bang control.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .discretize import DiscretizedPlant, build_reachability, feasibility_radius
 from .errors import DimensionMismatch
-from .interior_point import IPResult, LPProblem, SolveStatus, solve_ip
+from .interior_point import IPResult, L1Program, SolveStatus, solve_ip
 from .model import ControlProblem, ControlSignal
 
 # Fuel a crossover vertex may add over the interior point and still be
@@ -69,26 +69,18 @@ class SolveReport:
     polish_rounds: int = 0
 
 
-def build_lp(dp: DiscretizedPlant, weights: np.ndarray) -> LPProblem:
-    """Split-variable LP for the discretized fuel problem.
+def build_lp(dp: DiscretizedPlant, weights: np.ndarray) -> L1Program:
+    """The discretized fuel problem as an L1 program.
 
-    Variables are [P; Q] with U = P - Q and P, Q in [0, 1]^(mN); the
-    objective h * lambda @ (P + Q) upper-bounds the fuel and matches it
-    whenever P and Q do not overlap, which holds at any optimum.  The
-    h factor makes the optimal value approximate the continuous-time
-    fuel integral.  ``weights`` holds one weight per channel.
+    min h * lambda @ |U| subject to Phi @ U == -c and |U| <= 1; the h
+    factor makes the optimal value approximate the continuous-time fuel
+    integral.  ``weights`` holds one weight per channel.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dp.m,):
         raise DimensionMismatch(
             f"weights have shape {weights.shape}, plant has {dp.m} channels")
-    lam = dp.h * np.tile(weights, dp.N)
-    return LPProblem(
-        c=np.concatenate([lam, lam]),
-        A=np.hstack([dp.Phi, -dp.Phi]),
-        b=-dp.c,
-        u=np.ones(2 * dp.Phi.shape[1]),
-    )
+    return L1Program(M=dp.Phi, b=-dp.c, w=dp.h * np.tile(weights, dp.N), ub=1.0)
 
 
 def _first_block(u: np.ndarray, d: np.ndarray) -> tuple[float, int, bool]:
@@ -104,10 +96,9 @@ def _first_block(u: np.ndarray, d: np.ndarray) -> tuple[float, int, bool]:
     return float(ratio[i]), i, bool(shrinks[i])
 
 
-def polish_to_vertex(lp: LPProblem, interior_U: np.ndarray,
-                     options: SolverOptions = SolverOptions(),
-                     rhs_scale: float | None = None,
-                     ) -> tuple[np.ndarray, bool, int]:
+def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
+                     options: SolverOptions = SolverOptions(), *,
+                     rhs_scale: float) -> tuple[np.ndarray, bool, int]:
     """Purify an optimal-face point to a vertex of that face, with no LP.
 
     Entries within ``sparsity_threshold`` of a level in {-1, 0, +1} are
@@ -125,16 +116,15 @@ def polish_to_vertex(lp: LPProblem, interior_U: np.ndarray,
 
     Returns (control, accepted, steps).  The vertex is accepted only if
     it stays within the bounds, its fuel is at most the interior point's
-    plus the acceptance slack, and it keeps the terminal equality;
-    otherwise the caller falls back to ``interior_U``.
+    plus the acceptance slack, and it keeps the terminal equality to
+    ``feas_tol * (1 + rhs_scale)``; otherwise the caller falls back to
+    ``interior_U``.
     """
-    K = lp.n_vars // 2
-    Phi = lp.A[:, :K]
-    cost = lp.c[:K]
+    Phi = lp.M
+    cost = lp.w
     n = Phi.shape[0]
     U0 = np.asarray(interior_U, dtype=float)
     J0 = float(cost @ np.abs(U0))
-    scale = float(np.linalg.norm(lp.b)) if rhs_scale is None else rhs_scale
     thr = options.sparsity_threshold
 
     U = np.where(np.abs(U0) <= thr, 0.0, U0)
@@ -173,7 +163,7 @@ def polish_to_vertex(lp: LPProblem, interior_U: np.ndarray,
     U = np.clip(U, -1.0, 1.0)
     ok = (within
           and float(cost @ np.abs(U)) <= J0 + _ACCEPT * (1.0 + abs(J0))
-          and float(np.linalg.norm(Phi @ U - lp.b)) <= options.feas_tol * (1.0 + scale))
+          and float(np.linalg.norm(Phi @ U - lp.b)) <= options.feas_tol * (1.0 + rhs_scale))
     return (U, True, steps) if ok else (U0, False, steps)
 
 
@@ -221,8 +211,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     if result.status is not SolveStatus.OPTIMAL:
         return failure(result.status, result)
 
-    K = m * N
-    U_raw = result.x[:K] - result.x[K:]
+    U_raw = result.x
     overshoot = float(np.max(np.abs(U_raw))) - 1.0
     if overshoot > 1e-9:
         return failure(SolveStatus.NUMERICAL_FAILURE, result)
@@ -237,7 +226,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
             lp, U_raw, options, rhs_scale=x0_norm)
 
     terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U_final))
-    objective = float(lp.c[:K] @ np.abs(U_final))
+    objective = float(lp.w @ np.abs(U_final))
     status = SolveStatus.OPTIMAL
     if terminal_error > options.feas_tol * (1.0 + x0_norm):
         status = SolveStatus.NUMERICAL_FAILURE

@@ -300,8 +300,7 @@ def test_support_check_raises_when_phase1_lp_fails(monkeypatch):
     def stalled(lp, **kwargs):
         nan = float("nan")
         return IPResult(status=SolveStatus.ITERATION_LIMIT, x=None, y=None,
-                        z_lower=None, z_upper=None, objective=nan,
-                        dual_objective=nan, primal_residual=nan,
+                        objective=nan, dual_objective=nan, primal_residual=nan,
                         dual_residual=nan, gap_residual=nan, iterations=200)
 
     monkeypatch.setattr(handsoff.analysis, "solve_ip", stalled)

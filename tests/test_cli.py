@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -278,6 +279,24 @@ def test_simulate_document_and_fine_csv(tmp_path):
     assert doc["max_gridpoint_gap"] <= 1e-9
     lines = csv.read_text().strip().split("\n")
     assert len(lines) == 8 * 5 + 2  # header + N*substeps + 1 points
+
+
+def test_simulate_substeps_beyond_memory_guard(tmp_path, capsys):
+    # N = 8, so N * substeps is one past the guard; the fine trajectory
+    # would take 8 * MEMORY_GUARD bytes, and nothing of that size is made
+    substeps = handsoff.model.MEMORY_GUARD // 8 + 1
+    out = tmp_path / "sim.json"
+    tracemalloc.start()
+    try:
+        code = run(["simulate", "--input", PROBLEMS / "scalar_integrator.json",
+                    "--substeps", substeps, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "exceeds the memory guard" in capsys.readouterr().err
+    assert peak < handsoff.model.MEMORY_GUARD
+    assert not out.exists()
 
 
 def test_documents_are_deterministic(tmp_path):

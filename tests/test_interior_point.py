@@ -2,74 +2,92 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from handsoff import DimensionMismatch, LPProblem, SolveStatus, solve_ip
+from handsoff import DimensionMismatch, L1Program, NonFiniteInput, SolveStatus, solve_ip
 
 
-def random_box_lp(rng, feasible=True):
-    ne = int(rng.integers(1, 5))
-    nv = int(rng.integers(ne, 14))
-    A = rng.normal(size=(ne, nv))
-    c = rng.uniform(0.05, 2.0, nv)
-    u = rng.uniform(0.4, 2.5, nv)
+def random_l1_program(rng, feasible=True):
+    n = int(rng.integers(1, 5))
+    K = int(rng.integers(n, 14))
+    M = rng.normal(size=(n, K))
+    w = rng.uniform(0.05, 2.0, K)
+    ub = rng.uniform(0.4, 2.5, K)
     if feasible:
-        b = A @ (rng.uniform(0.0, 1.0, nv) * u)
+        b = M @ (rng.uniform(-1.0, 1.0, K) * ub)
     else:
-        # push the target strictly past what the box can produce
-        reach = np.abs(A) @ u
-        direction = rng.normal(size=ne)
+        # push every row of the target strictly past what the box can produce
+        reach = np.abs(M) @ ub
+        direction = rng.normal(size=n)
         direction /= np.linalg.norm(direction)
         b = direction * reach * 1.5 + direction
-    return LPProblem(c=c, A=A, b=b, u=u)
+    return L1Program(M=M, b=b, w=w, ub=ub)
 
 
 def highs_reference(lp):
-    return linprog(lp.c, A_eq=lp.A, b_eq=lp.b,
-                   bounds=list(zip(np.zeros(lp.n_vars), lp.u)), method="highs")
+    """HiGHS on the split form v = p - q, p, q in [0, ub]."""
+    return linprog(np.concatenate([lp.w, lp.w]), A_eq=np.hstack([lp.M, -lp.M]), b_eq=lp.b,
+                   bounds=list(zip(np.zeros(2 * lp.w.size), np.concatenate([lp.ub, lp.ub]))),
+                   method="highs")
 
 
 def test_lp_problem_validates_shapes():
     with pytest.raises(DimensionMismatch):
-        LPProblem(c=[1.0, 1.0], A=[[1.0]], b=[1.0], u=[1.0])
+        L1Program(M=[[1.0]], b=[1.0], w=[1.0, 1.0], ub=1.0)
     with pytest.raises(DimensionMismatch):
-        LPProblem(c=[1.0], A=[[1.0]], b=[1.0], u=[0.0])  # zero-width box
+        L1Program(M=[[1.0, 1.0]], b=[1.0], w=[1.0, 1.0], ub=[1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        L1Program(M=[[1.0]], b=[1.0], w=[1.0], ub=[0.0])  # zero-width box
+    with pytest.raises(DimensionMismatch):
+        L1Program(M=[[1.0]], b=[1.0], w=[1.0], ub=-1.0)
+    with pytest.raises(DimensionMismatch):
+        L1Program(M=[[1.0, 1.0]], b=[1.0], w=[1.0, -0.5], ub=1.0)
+    with pytest.raises(NonFiniteInput):
+        L1Program(M=[[1.0, np.inf]], b=[1.0], w=[1.0, 1.0], ub=1.0)
+    with pytest.raises(NonFiniteInput):
+        L1Program(M=[[1.0]], b=[np.nan], w=[1.0], ub=1.0)
+    # a scalar bound is shared by every entry
+    assert np.array_equal(L1Program(M=[[1.0, 2.0]], b=[1.0], w=[0.0, 1.0], ub=2.0).ub,
+                          [2.0, 2.0])
 
 
 def test_simple_lp_solution():
-    # min x1 with x1 + x2 == 1 puts everything on x2
-    lp = LPProblem(c=[1.0, 0.0], A=[[1.0, 1.0]], b=[1.0], u=[1.0, 1.0])
+    # min |v1| with v1 + v2 == 1 puts everything on v2
+    lp = L1Program(M=[[1.0, 1.0]], b=[1.0], w=[1.0, 0.0], ub=[1.0, 1.0])
     res = solve_ip(lp)
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(0.0, abs=1e-8)
+    assert res.x[0] == pytest.approx(0.0, abs=1e-7)
     assert res.x[1] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_zero_rhs_gives_zero_solution():
-    lp = LPProblem(c=[1.0, 2.0, 3.0], A=[[1.0, -1.0, 0.5]], b=[0.0],
-                   u=[1.0, 1.0, 1.0])
+    lp = L1Program(M=[[1.0, -1.0, 0.5]], b=[0.0], w=[1.0, 2.0, 3.0], ub=1.0)
     res = solve_ip(lp)
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(0.0, abs=1e-9)
+    assert np.max(np.abs(res.x)) <= 1e-8
 
 
 def test_matches_highs_on_random_feasible_instances():
     rng = np.random.default_rng(10)
     for _ in range(30):
-        lp = random_box_lp(rng, feasible=True)
+        lp = random_l1_program(rng, feasible=True)
         res = solve_ip(lp)
         ref = highs_reference(lp)
         assert ref.status == 0
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
-        # reported point respects the box and the equalities
-        assert np.all(res.x >= -1e-8)
-        assert np.all(res.x <= lp.u + 1e-8)
-        assert np.linalg.norm(lp.A @ res.x - lp.b) <= 1e-7 * (1 + np.linalg.norm(lp.b))
+        # the signed point respects the box and the equalities, and its
+        # fuel is the reported objective
+        assert res.x.shape == lp.w.shape
+        assert np.all(np.abs(res.x) <= lp.ub + 1e-8)
+        assert np.linalg.norm(lp.M @ res.x - lp.b) <= 1e-7 * (1 + np.linalg.norm(lp.b))
+        assert lp.w @ np.abs(res.x) == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
 
 
 def test_dual_objective_is_certified_lower_bound():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        lp = random_box_lp(rng, feasible=True)
+        lp = random_l1_program(rng, feasible=True)
         res = solve_ip(lp)
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective - res.dual_objective <= 1e-8 * (1 + abs(res.objective))
@@ -81,29 +99,27 @@ def test_dual_objective_is_certified_lower_bound():
 def test_infeasible_instances_are_certified():
     rng = np.random.default_rng(12)
     for _ in range(15):
-        lp = random_box_lp(rng, feasible=False)
+        lp = random_l1_program(rng, feasible=False)
         ref = highs_reference(lp)
         assert ref.status == 2
         res = solve_ip(lp)
         assert res.status is SolveStatus.INFEASIBLE
-        # Farkas witness: A^T y <= eps on every variable, b^T y > 0
+        # Farkas ray on the equality rows: b @ y exceeds the most that any
+        # v in the box can give, max (M v) @ y = sum_j ub_j |M_j @ y|
         y = res.farkas_y
-        ye, yb = y[:lp.n_rows], y[lp.n_rows:]
-        gain = lp.b @ ye + lp.u @ yb
-        assert gain > 0
-        viol = max(np.max(lp.A.T @ ye + yb), np.max(yb), 0.0)
-        assert viol <= 1e-6 * gain
+        assert y.shape == lp.b.shape
+        assert lp.b @ y - lp.ub @ np.abs(lp.M.T @ y) > 0
 
 
 def test_iteration_limit_status():
-    lp = LPProblem(c=[1.0, 0.0], A=[[1.0, 1.0]], b=[1.0], u=[1.0, 1.0])
+    lp = L1Program(M=[[1.0, 1.0]], b=[1.0], w=[1.0, 0.0], ub=1.0)
     res = solve_ip(lp, maxiter=1)
     assert res.status is SolveStatus.ITERATION_LIMIT
 
 
 def test_deterministic_across_runs():
     rng = np.random.default_rng(13)
-    lp = random_box_lp(rng, feasible=True)
+    lp = random_l1_program(rng, feasible=True)
     a = solve_ip(lp)
     b = solve_ip(lp)
     assert np.array_equal(a.x, b.x)
@@ -113,7 +129,7 @@ def test_deterministic_across_runs():
 
 def test_residuals_reported_below_tolerance():
     rng = np.random.default_rng(14)
-    lp = random_box_lp(rng, feasible=True)
+    lp = random_l1_program(rng, feasible=True)
     res = solve_ip(lp, tol=1e-8)
     assert res.primal_residual <= 1e-8
     assert res.dual_residual <= 1e-8

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from handsoff import (
     polish_to_vertex,
     recompute_objective,
     solve,
+    solve_discretized,
     solve_ip,
 )
 
@@ -38,10 +40,10 @@ def fuel_reference(problem):
 
 
 def test_build_lp_objective_scaling():
-    # one atom, weight 2, step 0.5: both split variables cost 1
+    # one atom, weight 2, step 0.5: its fuel weight is 1
     dp = build_reachability(scalar_integrator(1.0, 0.5, 1))
     lp = build_lp(dp, np.array([2.0]))
-    assert np.allclose(lp.c, [1.0, 1.0])
+    assert np.allclose(lp.w, [1.0])
 
 
 def test_build_lp_zero_state_rhs():
@@ -53,8 +55,9 @@ def test_build_lp_zero_state_rhs():
 def test_build_lp_equality_blocks():
     dp = build_reachability(double_integrator([1.0, 0.0], 2.0, 2))
     lp = build_lp(dp, np.array([1.0]))
-    assert np.allclose(lp.A, np.hstack([dp.Phi, -dp.Phi]))
-    assert np.array_equal(lp.u, np.ones(4))
+    assert np.array_equal(lp.M, dp.Phi)
+    assert np.array_equal(lp.w, np.full(2, dp.h))
+    assert np.array_equal(lp.ub, np.ones(2))
 
 
 def test_build_lp_channel_count_checked():
@@ -172,8 +175,7 @@ def test_polish_disabled_keeps_interior_point():
     report = solve(problem, SolverOptions(polish=False))
     assert not report.polish_applied
     lp = build_lp(build_reachability(problem), np.array([1.0]))
-    x = solve_ip(lp).x
-    assert np.array_equal(report.signal.U, np.clip(x[:8] - x[8:], -1.0, 1.0))
+    assert np.array_equal(report.signal.U, np.clip(solve_ip(lp).x, -1.0, 1.0))
     assert np.count_nonzero(np.abs(report.signal.U) > 1e-6) == 8
 
 
@@ -184,7 +186,7 @@ def test_polish_to_vertex_direct_call_on_unique_optimum():
     lp = build_lp(dp, np.array([1.0]))
     report = solve(problem, SolverOptions(polish=False))
     U0 = report.signal.U
-    U, accepted, _ = polish_to_vertex(lp, U0)
+    U, accepted, _ = polish_to_vertex(lp, U0, rhs_scale=np.linalg.norm(dp.x0))
     assert accepted
     assert np.allclose(U, U0, atol=1e-6)
 
@@ -258,3 +260,20 @@ def test_large_instance_reaches_simplex_vertex():
     U_ref = ref.x[:K] - ref.x[K:]
     assert np.array_equal(np.abs(U) > 1e-6, np.abs(U_ref) > 1e-6)
     assert report.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
+def test_solve_discretized_peak_memory():
+    # the interior point works on Phi itself: no [Phi, -Phi] and no
+    # 2K-column scaled copy, so a warm solve stays within a few Phi-sized
+    # arrays plus the split iterate vectors
+    problem = feasible_problem(np.random.default_rng(808), 8, 2, 2000, T=1.0)
+    dp = build_reachability(problem)
+    solve_discretized(dp, problem.weights)
+    tracemalloc.start()
+    try:
+        report = solve_discretized(dp, problem.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status is SolveStatus.OPTIMAL
+    assert peak <= 12.5 * dp.Phi.nbytes
