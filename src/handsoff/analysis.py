@@ -105,6 +105,13 @@ def simulate_discrete(dp: DiscretizedPlant, signal: ControlSignal,
     return traj
 
 
+def check_fine_grid(N: int, substeps: int) -> None:
+    """Raise ProblemTooLarge if N * substeps fine steps pass the memory guard."""
+    if N * substeps > MEMORY_GUARD:
+        raise ProblemTooLarge(
+            f"N*substeps = {N * substeps} exceeds the memory guard of {MEMORY_GUARD}")
+
+
 def simulate_continuous(plant: PlantModel, signal: ControlSignal,
                         x0: np.ndarray, substeps: int,
                         method: str = "exact") -> np.ndarray:
@@ -120,9 +127,7 @@ def simulate_continuous(plant: PlantModel, signal: ControlSignal,
     if int(substeps) != substeps or substeps < 1:
         raise DimensionMismatch(f"substeps must be a positive integer, got {substeps}")
     substeps = int(substeps)
-    if signal.N * substeps > MEMORY_GUARD:
-        raise ProblemTooLarge(
-            f"N*substeps = {signal.N * substeps} exceeds the memory guard of {MEMORY_GUARD}")
+    check_fine_grid(signal.N, substeps)
     x0 = np.asarray(x0, dtype=float).ravel()
     n = plant.n
     if x0.size != n:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    check_fine_grid,
     min_energy_baseline,
     simulate_continuous,
     simulate_discrete,
@@ -125,12 +126,16 @@ def _status_exit(status: SolveStatus) -> int:
     return EXIT_ERROR
 
 
-def _solve_input(cfg: RunConfig):
+def _solve_input(cfg: RunConfig, substeps: int | None = None):
     """Read the input problem, discretize it once, and solve it.
 
+    ``substeps`` is the fine grid a later simulation needs; it is checked
+    against the memory guard before any discretization or solve.
     Returns (problem, dp, report); callers reuse dp for every later stage.
     """
     problem = read_problem(cfg.input_path.read_text())
+    if substeps is not None:
+        check_fine_grid(problem.N, substeps)
     dp = build_reachability(problem)
     return problem, dp, solve_discretized(dp, problem.weights, cfg.options)
 
@@ -262,7 +267,7 @@ def cmd_verify_equivalence(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     started = time.perf_counter()
-    problem, dp, report = _solve_input(cfg)
+    problem, dp, report = _solve_input(cfg, cfg.substeps)
     document = {
         "schema": SCHEMA,
         "command": "simulate",

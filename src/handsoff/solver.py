@@ -9,6 +9,28 @@ face, its least sparse point, so a purification crossover (Megiddo
 1991) then steps along null directions of the fractional columns of Phi
 to a vertex of that face: every entry in {-1, 0, +1} except at most n,
 the discrete bang-off-bang control.
+
+The optimum touches few columns of Phi: by the maximum principle a slot
+is active only where the costate clears the dead zone,
+|Phi_j^T y| >= h lambda_j.  A program with more than ``_WORKING_SET``
+columns is therefore solved by column generation (Desrosiers & Lubbecke,
+"A Primer in Column Generation", 2005).  The working set starts from
+every r-th slot, r = ceil(m N / _WORKING_SET), with all its channels and
+the last slot.  Each round solves the program restricted to the set and
+prices every column with one Phi^T y: the reduced cost |Phi_j^T y| - w_j
+is the dead-zone law, and
+    D = b @ y - sum_j ub_j (|Phi_j^T y| - w_j)_+
+over all columns bounds the full optimum from below for any y.  The
+loop stops once the restricted primal P, which is feasible for the full
+program, is within ``opt_tol * (1 + |P|)`` of D; otherwise the columns
+with the largest relative reduced cost join the set.  An infeasible
+round's Farkas ray certifies the full program when
+b @ y > sum_j ub_j |Phi_j^T y| over all columns; otherwise the columns
+with the largest ub_j |Phi_j^T y| join.  The crossover runs on the last
+round's program.  On this path the reported ``lp_objective`` and
+``dual_objective`` are P and D.  Up to ``_WORKING_SET`` columns r = 1:
+the one round is the full program with nothing to price, and the pair
+is the interior point's own certified primal/dual values.
 """
 
 from __future__ import annotations
@@ -29,6 +51,12 @@ _ACCEPT = 1e-7
 # A null direction whose fuel slope is below this fraction of its
 # absolute fuel weight is flat: its sign is roundoff, not a fuel change.
 _FLAT = 1e-12
+# Column count of the first restricted program, and the most columns one
+# pricing round adds; a program this small is solved whole.
+_WORKING_SET = 2048
+# Times the restricted tolerance is cut 10x when pricing finds no column
+# but the gap is still open.
+_TIGHTENINGS = 2
 
 
 @dataclass(frozen=True)
@@ -46,11 +74,15 @@ class SolveReport:
     """Outcome of one solve: status, certified objective data, signal.
 
     ``objective`` is recomputed from the returned signal; ``lp_objective``
-    and ``dual_objective`` are the primal/dual values certified by the
-    interior-point termination, so the pair brackets the true optimum
-    regardless of what the crossover did afterwards.
+    and ``dual_objective`` bracket the true optimum regardless of what
+    the crossover did afterwards.  On a program solved whole they are the
+    primal/dual values certified by the interior-point termination; under
+    column generation they are the restricted primal P, feasible for the
+    full program, and the dual value D priced over every column.
     ``unpolished_support`` counts the entries of the interior-point
     control above the sparsity threshold, before the crossover.
+    ``iterations`` sums the interior-point iterations of every round,
+    and ``pricing_rounds`` counts the rounds (``solve_ip`` calls).
     """
 
     status: SolveStatus
@@ -67,6 +99,7 @@ class SolveReport:
     polish_applied: bool
     feasibility_slack: float
     polish_rounds: int = 0
+    pricing_rounds: int = 1
 
 
 def build_lp(dp: DiscretizedPlant, weights: np.ndarray) -> L1Program:
@@ -167,6 +200,87 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
     return (U, True, steps) if ok else (U0, False, steps)
 
 
+@dataclass(frozen=True)
+class _L1Solve:
+    """Outcome of the column-generation loop.
+
+    ``lp`` is the program of the last round and ``cols`` its columns in
+    the full program, None when it is the full program itself.
+    """
+
+    status: SolveStatus
+    ip: IPResult
+    lp: L1Program
+    cols: np.ndarray | None
+    dual_objective: float
+    rounds: int
+    iterations: int
+
+
+def _initial_columns(m: int, N: int) -> np.ndarray | None:
+    """Every r-th slot with all its channels, and the last slot.
+
+    r = ceil(m N / _WORKING_SET); None when r = 1, i.e. every column.
+    """
+    r = -(-m * N // _WORKING_SET)
+    if r == 1:
+        return None
+    slots = np.union1d(np.arange(0, N, r), [N - 1])
+    return (slots[:, None] * m + np.arange(m)).ravel()
+
+
+def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solve:
+    """Solve ``lp`` on a working set of columns priced by the dead-zone law.
+
+    See the module docstring.  An optimal status always carries
+    P - D <= opt_tol * (1 + |P|) with D priced over every column; when
+    pricing finds nothing while the gap is open, the restricted tolerance
+    is cut 10x, at most ``_TIGHTENINGS`` times, before the loop gives up
+    with a numerical failure.
+    """
+    K = lp.M.shape[1]
+    cols = _initial_columns(m, N)
+    tol = opt_tol
+    tightenings = rounds = iterations = 0
+    while True:
+        sub = lp if cols is None else L1Program(
+            lp.M[:, cols], lp.b, lp.w[cols], lp.ub[cols])
+        ip = solve_ip(sub, tol=tol)
+        rounds += 1
+        iterations += ip.iterations
+        status, dual = ip.status, ip.dual_objective
+        if cols is None:
+            break
+        outside = np.ones(K, dtype=bool)
+        outside[cols] = False
+        if status is SolveStatus.OPTIMAL:
+            reduced = np.abs(lp.M.T @ ip.y) - lp.w
+            dual = float(lp.b @ ip.y - lp.ub @ np.maximum(reduced, 0.0))
+            if ip.objective - dual <= opt_tol * (1.0 + abs(ip.objective)):
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = np.where(outside & (reduced > 0.0), reduced / lp.w, 0.0)
+        elif status is SolveStatus.INFEASIBLE:
+            reach = lp.ub * np.abs(lp.M.T @ ip.farkas_y)
+            if float(lp.b @ ip.farkas_y) > float(reach.sum()):
+                break
+            score = np.where(outside, reach, 0.0)
+        else:
+            break
+        new = np.flatnonzero(score > 0.0)
+        if new.size == 0:
+            if tightenings == _TIGHTENINGS:
+                status = SolveStatus.NUMERICAL_FAILURE
+                break
+            tightenings += 1
+            tol /= 10.0
+            continue
+        if new.size > _WORKING_SET:
+            new = new[np.argpartition(score[new], -_WORKING_SET)[-_WORKING_SET:]]
+        cols = np.union1d(cols, new)
+    return _L1Solve(status, ip, sub, cols, dual, rounds, iterations)
+
+
 def solve(problem: ControlProblem,
           options: SolverOptions = SolverOptions()) -> SolveReport:
     """Full pipeline: discretize, pre-check, solve, crossover, report."""
@@ -178,43 +292,47 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     """Pre-check, solve, crossover and report on already discretized data.
 
     For callers that hold ``build_reachability(problem)`` and reuse it;
-    ``weights`` are the problem's per-channel weights.  The reported
-    objective is always recomputed from the returned signal as
-    h * sum lambda |u|, and the terminal error is the Euclidean norm of
-    c + Phi @ U.
+    ``weights`` are the problem's per-channel weights.  The crossover runs
+    on the last round's program and its control is scattered into the
+    full U.  The reported objective is always recomputed from the returned
+    signal as h * sum lambda |u|, and the terminal error is the Euclidean
+    norm of c + Phi @ U.
     """
     slack = feasibility_radius(dp)
     m, N, h = dp.m, dp.N, dp.h
 
-    def failure(status, ip: IPResult | None = None):
+    def failure(status, sol: _L1Solve | None = None):
+        ip = sol.ip if sol else None
         return SolveReport(
             status=status,
             objective=float("nan"),
             lp_objective=ip.objective if ip else float("nan"),
-            dual_objective=ip.dual_objective if ip else float("nan"),
+            dual_objective=sol.dual_objective if sol else float("nan"),
             primal_residual=ip.primal_residual if ip else float("nan"),
             dual_residual=ip.dual_residual if ip else float("nan"),
             gap_residual=ip.gap_residual if ip else float("nan"),
-            iterations=ip.iterations if ip else 0,
+            iterations=sol.iterations if sol else 0,
             signal=None,
             unpolished_support=0,
             terminal_error=float("nan"),
             polish_applied=False,
             feasibility_slack=slack,
+            pricing_rounds=sol.rounds if sol else 0,
         )
 
     if slack < 0:
         return failure(SolveStatus.INFEASIBLE)
 
     lp = build_lp(dp, weights)
-    result = solve_ip(lp, tol=options.opt_tol)
-    if result.status is not SolveStatus.OPTIMAL:
-        return failure(result.status, result)
+    sol = _column_generation(lp, m, N, options.opt_tol)
+    if sol.status is not SolveStatus.OPTIMAL:
+        return failure(sol.status, sol)
+    result = sol.ip
 
     U_raw = result.x
     overshoot = float(np.max(np.abs(U_raw))) - 1.0
     if overshoot > 1e-9:
-        return failure(SolveStatus.NUMERICAL_FAILURE, result)
+        return failure(SolveStatus.NUMERICAL_FAILURE, sol)
     U_raw = np.clip(U_raw, -1.0, 1.0)
     x0_norm = float(np.linalg.norm(dp.x0))
 
@@ -223,7 +341,10 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     U_final = U_raw
     if options.polish:
         U_final, applied, rounds = polish_to_vertex(
-            lp, U_raw, options, rhs_scale=x0_norm)
+            sol.lp, U_raw, options, rhs_scale=x0_norm)
+    if sol.cols is not None:
+        U_final, U_sub = np.zeros(m * N), U_final
+        U_final[sol.cols] = U_sub
 
     terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U_final))
     objective = float(lp.w @ np.abs(U_final))
@@ -235,11 +356,11 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
         status=status,
         objective=objective,
         lp_objective=result.objective,
-        dual_objective=result.dual_objective,
+        dual_objective=sol.dual_objective,
         primal_residual=result.primal_residual,
         dual_residual=result.dual_residual,
         gap_residual=result.gap_residual,
-        iterations=result.iterations,
+        iterations=sol.iterations,
         signal=ControlSignal(U=U_final, h=h, m=m, N=N),
         unpolished_support=int(np.count_nonzero(
             np.abs(U_raw) > options.sparsity_threshold)),
@@ -247,6 +368,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
         polish_applied=applied,
         feasibility_slack=slack,
         polish_rounds=rounds,
+        pricing_rounds=sol.rounds,
     )
 
 

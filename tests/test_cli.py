@@ -281,9 +281,19 @@ def test_simulate_document_and_fine_csv(tmp_path):
     assert len(lines) == 8 * 5 + 2  # header + N*substeps + 1 points
 
 
-def test_simulate_substeps_beyond_memory_guard(tmp_path, capsys):
+def test_simulate_substeps_beyond_memory_guard(tmp_path, capsys, monkeypatch):
     # N = 8, so N * substeps is one past the guard; the fine trajectory
-    # would take 8 * MEMORY_GUARD bytes, and nothing of that size is made
+    # would take 8 * MEMORY_GUARD bytes, and nothing of that size is made.
+    # The guard fires before the problem is discretized or solved.
+    builds = []
+    original = handsoff.discretize.build_reachability
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+    for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "handsoff"]:
+        if getattr(mod, "build_reachability", None) is original:
+            monkeypatch.setattr(mod, "build_reachability", counted)
     substeps = handsoff.model.MEMORY_GUARD // 8 + 1
     out = tmp_path / "sim.json"
     tracemalloc.start()
@@ -297,6 +307,7 @@ def test_simulate_substeps_beyond_memory_guard(tmp_path, capsys):
     assert "exceeds the memory guard" in capsys.readouterr().err
     assert peak < handsoff.model.MEMORY_GUARD
     assert not out.exists()
+    assert builds == []
 
 
 def test_documents_are_deterministic(tmp_path):

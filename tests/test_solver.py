@@ -277,3 +277,164 @@ def test_solve_discretized_peak_memory():
         tracemalloc.stop()
     assert report.status is SolveStatus.OPTIMAL
     assert peak <= 12.5 * dp.Phi.nbytes
+
+
+def _support(U, thr=1e-6):
+    return int(np.count_nonzero(np.abs(U) > thr))
+
+
+def _bracket_holds(report, highs_fun):
+    # the restricted primal is feasible for the full program and the dual
+    # value is priced over every column, so together they bracket HiGHS
+    slack = 1e-10 * (1 + abs(highs_fun))  # HiGHS's own roundoff
+    assert report.dual_objective <= highs_fun + slack
+    assert highs_fun <= report.lp_objective + slack
+    gap = report.lp_objective - report.dual_objective
+    assert gap <= 1e-8 * (1 + abs(report.lp_objective))
+
+
+def test_column_generation_matches_full_program(monkeypatch):
+    import handsoff.solver
+
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        N = int(rng.integers(2049 // m + 1, 3000))
+        problem = feasible_problem(rng, n, m, N, T=float(rng.uniform(0.5, 1.5)))
+        dp = build_reachability(problem)
+        report = solve_discretized(dp, problem.weights)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.pricing_rounds >= 1
+        full = solve_ip(build_lp(dp, problem.weights))
+        assert report.objective == pytest.approx(full.objective, rel=1e-8, abs=1e-8)
+        _bracket_holds(report, fuel_reference(problem).fun)
+        with monkeypatch.context() as patch:
+            patch.setattr(handsoff.solver, "_WORKING_SET", dp.Phi.shape[1])
+            whole = solve_discretized(dp, problem.weights)
+        assert whole.pricing_rounds == 1
+        assert _support(report.signal.U) <= _support(whole.signal.U)
+
+
+def test_column_generation_certifies_infeasibility():
+    # the precheck passes (row slacks are nonnegative); the first
+    # restricted Farkas ray must certify the full program
+    problem = double_integrator([-3.3, 1.9], 2.0, 3000)
+    report = solve(problem)
+    assert report.feasibility_slack >= 0
+    assert report.status is SolveStatus.INFEASIBLE
+    assert report.signal is None
+    assert report.pricing_rounds >= 1
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_small_working_set_forces_pricing_rounds(seed, monkeypatch):
+    import handsoff.solver
+
+    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+    rng = np.random.default_rng(seed)
+    problem = feasible_problem(rng, int(rng.integers(2, 4)), int(rng.integers(1, 3)),
+                               int(rng.integers(60, 120)), T=float(rng.uniform(1.0, 4.0)))
+    report = solve(problem)
+    ref = fuel_reference(problem)
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.pricing_rounds > 1
+    _bracket_holds(report, ref.fun)
+    assert report.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
+    assert report.terminal_error <= 1e-6 * (1 + np.linalg.norm(problem.x0))
+
+
+def test_infeasible_restriction_grows_the_working_set(monkeypatch):
+    # the first working set cannot reach the target, and its Farkas ray
+    # does not certify the full program: its columns join instead
+    import handsoff.solver
+
+    statuses = []
+    original = handsoff.solver.solve_ip
+
+    def recorded(*args, **kwargs):
+        res = original(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+    monkeypatch.setattr(handsoff.solver, "solve_ip", recorded)
+    rng = np.random.default_rng(64)
+    problem = feasible_problem(rng, int(rng.integers(2, 4)), 1, int(rng.integers(60, 120)),
+                               T=float(rng.uniform(1.0, 4.0)), witness_scale=0.9)
+    report = solve(problem)
+    assert statuses[0] is SolveStatus.INFEASIBLE
+    assert report.status is SolveStatus.OPTIMAL
+    _bracket_holds(report, fuel_reference(problem).fun)
+
+
+def test_small_working_set_infeasible(monkeypatch):
+    import handsoff.solver
+
+    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+    report = solve(double_integrator([-3.3, 1.9], 2.0, 200))
+    assert report.feasibility_slack >= 0
+    assert report.status is SolveStatus.INFEASIBLE
+
+
+def test_open_gap_is_never_reported_optimal(monkeypatch):
+    # a restricted solve whose primal value sits above every dual bound:
+    # pricing runs out of columns, the tolerance is cut twice, and the
+    # loop gives up instead of claiming optimality
+    import handsoff.solver
+
+    tols = []
+    original = handsoff.solver.solve_ip
+
+    def biased(lp, tol=1e-8, **kwargs):
+        tols.append(tol)
+        res = original(lp, tol=tol, **kwargs)
+        return dataclasses.replace(res, objective=res.objective + 1.0)
+
+    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+    monkeypatch.setattr(handsoff.solver, "solve_ip", biased)
+    report = solve(feasible_problem(np.random.default_rng(44), 2, 1, 80, T=2.0))
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.signal is None
+    assert report.lp_objective - report.dual_objective > 1.0 - 1e-6
+    assert tols[-3:] == pytest.approx([1e-8, 1e-9, 1e-10])
+    assert report.pricing_rounds == len(tols)
+
+
+def test_working_set_sized_program_is_solved_whole(monkeypatch):
+    import handsoff.solver
+
+    programs = []
+    original = handsoff.solver.solve_ip
+
+    def recorded(lp, *args, **kwargs):
+        programs.append(lp)
+        return original(lp, *args, **kwargs)
+
+    monkeypatch.setattr(handsoff.solver, "solve_ip", recorded)
+    problem = feasible_problem(np.random.default_rng(45), 3, 2, 1024, T=1.0)
+    dp = build_reachability(problem)
+    assert dp.Phi.shape[1] == handsoff.solver._WORKING_SET
+    report = solve_discretized(dp, problem.weights)
+    assert report.status is SolveStatus.OPTIMAL and report.pricing_rounds == 1
+    assert len(programs) == 1
+    assert programs[0].M is dp.Phi
+    direct = original(build_lp(dp, problem.weights))
+    assert (report.lp_objective, report.dual_objective, report.iterations) == \
+        (direct.objective, direct.dual_objective, direct.iterations)
+
+
+def test_solve_discretized_peak_memory_large_horizon():
+    # past the working set the interior point only sees a column subset,
+    # so the peak is Phi^T y and a few K-vectors, not the split iterates
+    problem = feasible_problem(np.random.default_rng(808), 8, 2, 20000, T=1.0)
+    dp = build_reachability(problem)
+    solve_discretized(dp, problem.weights)
+    tracemalloc.start()
+    try:
+        report = solve_discretized(dp, problem.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.pricing_rounds > 1
+    assert peak <= 3.0 * dp.Phi.nbytes
