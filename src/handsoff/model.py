@@ -8,7 +8,7 @@ is consistent by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,27 +81,47 @@ class ControlProblem:
         return self.T / self.N
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ControlSignal:
-    """Piecewise-constant control on the grid.
+    """Piecewise-constant control on the grid, stored by its support.
 
     ``U`` stacks u[0], ..., u[N-1], each block of length m, so it has
-    exactly m*N entries; ``h`` is the slot length.
+    exactly m*N entries; ``h`` is the slot length.  A hands-off control
+    is mostly zero, so the signal keeps only ``support``, the indices of
+    U's nonzero entries, and ``values``, those entries: 16 bytes per
+    nonzero instead of 8 per slot and channel.  ``U`` is rebuilt on each
+    access as a read-only array, bit for bit the one given (a -0.0 entry
+    is kept).  ``dataclasses.replace(signal, U=...)`` builds a new signal.
     """
 
-    U: np.ndarray
+    support: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
     h: float
     m: int
     N: int
 
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float).ravel()
-        if U.size != self.m * self.N:
+    def __init__(self, U: np.ndarray, h: float, m: int, N: int):
+        U = np.asarray(U, dtype=float).ravel()
+        if U.size != m * N:
             raise LengthMismatch(
-                f"signal has {U.size} entries, expected m*N = {self.m * self.N}")
+                f"signal has {U.size} entries, expected m*N = {m * N}")
         if not np.all(np.isfinite(U)):
             raise NonFiniteInput("control signal contains non-finite entries")
-        object.__setattr__(self, "U", _frozen_array(U))
+        support = np.flatnonzero(U.view(np.uint64))  # nonzero bits, so -0.0 too
+        values = U[support]
+        support.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "N", N)
+
+    @property
+    def U(self) -> np.ndarray:
+        U = np.zeros(self.m * self.N)
+        U[self.support] = self.values
+        U.flags.writeable = False
+        return U
 
     @property
     def T(self) -> float:

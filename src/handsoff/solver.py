@@ -35,7 +35,6 @@ is the interior point's own certified primal/dual values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +50,17 @@ _ACCEPT = 1e-7
 # A null direction whose fuel slope is below this fraction of its
 # absolute fuel weight is flat: its sign is roundoff, not a fuel change.
 _FLAT = 1e-12
+# Pending columns the crossover solves against one held basis at a time.
+_CHUNK = 128
 # Column count of the first restricted program, and the most columns one
 # pricing round adds; a program this small is solved whole.
 _WORKING_SET = 2048
 # Times the restricted tolerance is cut 10x when pricing finds no column
-# but the gap is still open.
+# but the gap is still open, or when an optimal round overshoots the box.
 _TIGHTENINGS = 2
+# How far an interior-point control may leave the box |u| <= 1 and still
+# be clipped to it rather than rejected.
+_OVERSHOOT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,34 @@ def _first_block(u: np.ndarray, d: np.ndarray) -> tuple[float, int, bool]:
     return float(ratio[i]), i, bool(shrinks[i])
 
 
+def _pin_against_basis(u: np.ndarray, v: np.ndarray, D: np.ndarray,
+                       cost_u: np.ndarray, cost_v: np.ndarray
+                       ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Crossover steps that enter v one by one against the held basis u.
+
+    The basic entries u have independent columns B, and D = B^-1 times
+    the entering columns, so entering entry k moves along [-D_k; 1].
+    Each step takes the way that lowers the fuel, or, when the slope is
+    flat, the way that shrinks the entering entry, and runs until that
+    entry reaches its level.  The basic entries keep their signs until
+    one reaches a level, so every slope is fixed and the basic entries
+    after each step are a cumulative sum.  Returns the number k of steps
+    before the first one in which a basic entry would reach a level (a
+    tie blocks), the levels of v[:k], and the basic entries after them.
+    """
+    sign_u = np.sign(u)
+    slope = cost_v * np.sign(v) - (cost_u * sign_u) @ D
+    flat = np.abs(slope) <= _FLAT * (cost_v + cost_u @ np.abs(D))
+    move = -np.sign(np.where(flat, v, slope))
+    shrinks = move * v < 0.0
+    step = np.where(shrinks, np.abs(v), 1.0 - np.abs(v)) * move
+    basic = sign_u[:, None] * (u[:, None] - np.cumsum(D * step, axis=1))
+    blocked = np.any((basic <= 0.0) | (basic >= 1.0), axis=0)
+    k = int(np.argmax(blocked)) if blocked.any() else v.size
+    levels = np.where(shrinks[:k], 0.0, np.sign(v[:k]))
+    return k, levels, (sign_u * basic[:, k - 1] if k else u)
+
+
 def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
                      options: SolverOptions = SolverOptions(), *,
                      rhs_scale: float) -> tuple[np.ndarray, bool, int]:
@@ -138,20 +170,29 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
     snapped to it; the rest are fractional.  The interior point lies in
     the relative interior of the optimal face, so moving the fractional
     entries along a null vector d of their columns of Phi keeps the
-    terminal equality and changes the fuel linearly.  Each step takes d
-    from an SVD of the first n + 1 fractional columns, never goes the
-    way that raises the fuel, prefers (when both ways are flat) the way
-    whose first blocking entry reaches 0, and pins that entry at its
-    level.  The loop ends once the fractional columns are linearly
-    independent, which is a vertex with at most n fractional entries;
-    those are then re-solved by least squares against the pinned ones,
-    which restores the equality to roundoff.
+    terminal equality and changes the fuel linearly.  Every step never
+    goes the way that raises the fuel and pins one entry at its level.
 
-    Returns (control, accepted, steps).  The vertex is accepted only if
-    it stays within the bounds, its fuel is at most the interior point's
-    plus the acceptance slack, and it keeps the terminal equality to
-    ``feas_tol * (1 + rhs_scale)``; otherwise the caller falls back to
-    ``interior_U``.
+    Fractional entries enter in decreasing |u| order (Bixby & Saltzman
+    1994), so the largest form the basis and the many small ones are
+    pinned against it.  While the working set S holds n entries with
+    independent columns B, a chunk of up to ``_CHUNK`` pending columns
+    is solved against B at once, and ``_pin_against_basis`` pins every
+    entering entry up to the first step k that a basic entry blocks.
+    That step takes d = [-D_k; 1] from the same solve; a step while S is
+    not such a basis takes d from an SVD of the first n + 1 fractional
+    columns.  Either single step prefers (when both ways are flat) the
+    way whose first blocking entry reaches 0, and pins that entry, which
+    may change the basis.  The loop ends once the fractional columns are
+    linearly independent, which is a vertex with at most n fractional
+    entries; those are then re-solved by least squares against the
+    pinned ones, which restores the equality to roundoff.
+
+    Returns (control, accepted, steps), steps counting the entries
+    pinned.  The vertex is accepted only if it stays within the bounds,
+    its fuel is at most the interior point's plus the acceptance slack,
+    and it keeps the terminal equality to ``feas_tol * (1 + rhs_scale)``;
+    otherwise the caller falls back to ``interior_U``.
     """
     Phi = lp.M
     cost = lp.w
@@ -159,21 +200,41 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
     U0 = np.asarray(interior_U, dtype=float)
     J0 = float(cost @ np.abs(U0))
     thr = options.sparsity_threshold
+    rank_tol = n * np.finfo(float).eps  # relative to the largest singular value
 
     U = np.where(np.abs(U0) <= thr, 0.0, U0)
     U = np.where(np.abs(U) >= 1.0 - thr, np.sign(U), U)
-    pending = iter(np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0)).tolist())
+    frac = np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0))
+    pending = frac[np.argsort(-np.abs(U[frac]), kind="stable")].tolist()
+    p = 0  # pending[:p] have entered
     S: list[int] = []
     steps = 0
     while True:
         S = [j for j in S if 0.0 < abs(U[j]) < 1.0]
-        S.extend(itertools.islice(pending, n + 1 - len(S)))
+        d = None
+        if len(S) == n and p < len(pending):
+            W, sv, Vt = np.linalg.svd(Phi[:, S])
+            if sv[-1] > rank_tol * sv[0]:
+                chunk = pending[p:p + _CHUNK]
+                D = Vt.T @ ((W.T @ Phi[:, chunk]) / sv[:, None])
+                k, levels, basic = _pin_against_basis(U[S], U[chunk], D, cost[S], cost[chunk])
+                U[chunk[:k]] = levels
+                U[S] = basic
+                p += k
+                steps += k
+                if k == len(chunk):
+                    continue
+                d = np.append(-D[:, k], 1.0)  # null vector of S + [chunk[k]]
+        entering = pending[p:p + n + 1 - len(S)]
+        S.extend(entering)
+        p += len(entering)
         if not S:
             break
-        _, sv, Vt = np.linalg.svd(Phi[:, S])
-        if sv.size == len(S) and sv[-1] > n * np.finfo(float).eps * sv[0]:
-            break  # independent columns: a vertex
-        d = Vt[-1]
+        if d is None:
+            _, sv, Vt = np.linalg.svd(Phi[:, S])
+            if sv.size == len(S) and sv[-1] > rank_tol * sv[0]:
+                break  # independent columns: a vertex
+            d = Vt[-1]
         u = U[S]
         slope = float(cost[S] * np.sign(u) @ d)
         if abs(slope) > _FLAT * float(cost[S] @ np.abs(d)):
@@ -192,7 +253,7 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
         rhs = lp.b - Phi @ U + Phi[:, S] @ U[S]
         U[S] = np.linalg.lstsq(Phi[:, S], rhs, rcond=None)[0]
 
-    within = float(np.max(np.abs(U), initial=0.0)) <= 1.0 + 1e-9
+    within = float(np.max(np.abs(U), initial=0.0)) <= 1.0 + _OVERSHOOT
     U = np.clip(U, -1.0, 1.0)
     ok = (within
           and float(cost @ np.abs(U)) <= J0 + _ACCEPT * (1.0 + abs(J0))
@@ -236,7 +297,10 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     P - D <= opt_tol * (1 + |P|) with D priced over every column; when
     pricing finds nothing while the gap is open, the restricted tolerance
     is cut 10x, at most ``_TIGHTENINGS`` times, before the loop gives up
-    with a numerical failure.
+    with a numerical failure.  The interior point meets its bounds only
+    to its primal tolerance, so an optimal round whose control leaves the
+    box by more than ``_OVERSHOOT`` is solved again with the tolerance
+    cut 10x, from the same budget.
     """
     K = lp.M.shape[1]
     cols = _initial_columns(m, N)
@@ -249,6 +313,11 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
         rounds += 1
         iterations += ip.iterations
         status, dual = ip.status, ip.dual_objective
+        if (status is SolveStatus.OPTIMAL and tightenings < _TIGHTENINGS
+                and float(np.max(np.abs(ip.x) - sub.ub)) > _OVERSHOOT):
+            tightenings += 1
+            tol /= 10.0
+            continue
         if cols is None:
             break
         outside = np.ones(K, dtype=bool)
@@ -331,7 +400,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
 
     U_raw = result.x
     overshoot = float(np.max(np.abs(U_raw))) - 1.0
-    if overshoot > 1e-9:
+    if overshoot > _OVERSHOOT:
         return failure(SolveStatus.NUMERICAL_FAILURE, sol)
     U_raw = np.clip(U_raw, -1.0, 1.0)
     x0_norm = float(np.linalg.norm(dp.x0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -145,6 +147,36 @@ def test_reachability_pure_gain_plant():
     assert dp.c[0] == pytest.approx(1.0, abs=1e-15)
 
 
+def _sequential_reachability(problem):
+    """Phi block by block, Ad times the block after it, and c by N products."""
+    Ad, Bd = zoh_discretize(problem.plant, problem.h)
+    blocks = [Bd]
+    for _ in range(problem.N - 1):
+        blocks.append(Ad @ blocks[-1])
+    c = problem.x0
+    for _ in range(problem.N):
+        c = Ad @ c
+    return np.hstack(blocks[::-1]), c
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 1000, 1024, 1025])
+@pytest.mark.parametrize("A, B", [
+    ([[-1.0, 2.0], [-0.5, -0.3]], [[1.0], [0.5]]),          # stable
+    ([[5.0]], [[1.0]]),                                       # unstable
+    ([[0.0, 1.0], [-4.0, -0.1]], [[0.0, 1.0], [1.0, 0.3]]),  # oscillatory
+], ids=["stable", "unstable", "oscillatory"])
+def test_reachability_by_doubling_matches_sequential_recursion(A, B, N):
+    problem = ControlProblem(plant=PlantModel(A=A, B=B), x0=np.ones(len(A)), T=4.0, N=N)
+    dp = build_reachability(problem)
+    Phi, c = _sequential_reachability(problem)
+    m = problem.plant.m
+    # block j of each, as a row, compared relative to its own size
+    blocks = lambda P: P.reshape(P.shape[0], N, m).transpose(1, 0, 2).reshape(N, -1)
+    err = np.max(np.abs(blocks(dp.Phi) - blocks(Phi)), axis=1)
+    assert np.all(err <= 1e-12 * np.max(np.abs(blocks(Phi)), axis=1))
+    assert np.max(np.abs(dp.c - c)) <= 1e-12 * np.max(np.abs(c))
+
+
 def test_reachability_memory_guard():
     p = ControlProblem(plant=PlantModel(A=[[0.0]], B=[[1.0]]), x0=[1.0],
                        T=1.0, N=10**7 + 1)
@@ -160,6 +192,30 @@ def test_feasibility_radius_certifies_unreachable_target():
 def test_feasibility_radius_zero_state_has_nonnegative_slack():
     dp = build_reachability(scalar_integrator(0.0, 1.0, 10))
     assert feasibility_radius(dp) >= 0.0
+
+
+def test_feasibility_radius_has_no_full_size_temporary():
+    rng = np.random.default_rng(808)
+    problem = ControlProblem(plant=stable_plant(rng, 8, 2), x0=rng.normal(size=8),
+                             T=1.0, N=20000)
+    dp = build_reachability(problem)
+    tracemalloc.start()
+    try:
+        radius = feasibility_radius(dp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * dp.Phi.nbytes
+    whole = np.abs(dp.Phi).sum(axis=1) - np.abs(dp.c)
+    assert radius == pytest.approx(float(np.min(whole)), rel=1e-13)
+
+
+def test_feasibility_radius_in_one_block_is_the_plain_row_sum():
+    rng = np.random.default_rng(809)
+    problem = ControlProblem(plant=stable_plant(rng, 3, 2), x0=rng.normal(size=3),
+                             T=2.0, N=500)
+    dp = build_reachability(problem)
+    assert feasibility_radius(dp) == float(np.min(np.abs(dp.Phi).sum(axis=1) - np.abs(dp.c)))
 
 
 def test_feasibility_radius_reachable_example():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -166,6 +167,26 @@ def test_signal_length_checked_at_construction():
         ControlSignal(U=[0.5, 0.5], h=1.0, m=1, N=1)
     with pytest.raises(NonFiniteInput):
         ControlSignal(U=[np.inf], h=1.0, m=1, N=1)
+
+
+def test_signal_stores_its_support_and_rebuilds_U_bit_exactly():
+    U = np.array([0.0, -1.0, 0.25, -0.0, 0.0, 1e-300, 1.0, 0.0])
+    s = ControlSignal(U=U, h=0.5, m=2, N=4)
+    assert s.support.tolist() == [1, 2, 3, 5, 6]
+    assert s.U.tobytes() == U.tobytes()
+    assert np.signbit(s.U[3])
+    assert not s.U.flags.writeable
+    with pytest.raises(ValueError):
+        s.U[0] = 1.0
+    assert np.array_equal(s.as_steps(), U.reshape(4, 2))
+    V = np.zeros(8)
+    V[7] = 0.5
+    t = dataclasses.replace(s, U=V)
+    assert (t.h, t.m, t.N) == (0.5, 2, 4)
+    assert t.U.tobytes() == V.tobytes() and t.support.tolist() == [7]
+    assert s.U.tobytes() == U.tobytes()
+    with pytest.raises(LengthMismatch):
+        dataclasses.replace(s, U=np.zeros(7))
 
 
 def test_write_signal_minimal_case():

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,53 @@ def test_solve_discretized_peak_memory():
     assert peak <= 12.5 * dp.Phi.nbytes
 
 
+@pytest.mark.parametrize("seed, n, m, N, working_set", [
+    (51, 3, 2, 700, None),   # K = 1400, solved whole
+    (52, 4, 1, 1500, None),  # K = 1500, solved whole, mostly bulk steps
+    (54, 5, 2, 2500, None),  # K = 5000, column generation
+    (65, 2, 2, 300, 16),
+    (71, 2, 2, 300, 16),
+])
+def test_crossover_invariants(seed, n, m, N, working_set, monkeypatch):
+    import handsoff.solver
+
+    calls = []
+    original = handsoff.solver.polish_to_vertex
+
+    def recorded(lp, U, *args, **kwargs):
+        out = original(lp, U, *args, **kwargs)
+        calls.append((lp, U, out))
+        return out
+
+    monkeypatch.setattr(handsoff.solver, "polish_to_vertex", recorded)
+    if working_set is not None:
+        monkeypatch.setattr(handsoff.solver, "_WORKING_SET", working_set)
+    rng = np.random.default_rng(seed)
+    problem = feasible_problem(rng, n, m, N, T=float(rng.uniform(0.5, 2.0)))
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL and report.polish_applied
+    (lp, U0, (U, accepted, steps)), = calls
+    assert accepted and steps == report.polish_rounds > 0
+    thr = SolverOptions().sparsity_threshold
+    before = np.count_nonzero((np.abs(U0) > thr) & (np.abs(U0) < 1.0 - thr))
+    frac = np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0))
+    assert frac.size <= n
+    assert np.linalg.matrix_rank(lp.M[:, frac]) == frac.size
+    assert report.polish_rounds == before - frac.size
+    J0 = float(lp.w @ np.abs(U0))
+    assert float(lp.w @ np.abs(U)) <= J0 + handsoff.solver._ACCEPT * (1.0 + abs(J0))
+    assert report.objective == pytest.approx(fuel_reference(problem).fun, rel=1e-8)
+
+
+def test_report_stores_the_control_by_its_support():
+    # a dense U would be 8 bytes a slot and channel, 320 kB here
+    problem = feasible_problem(np.random.default_rng(808), 8, 2, 20000, T=1.0)
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL
+    nonzeros = int(np.count_nonzero(report.signal.U))
+    assert len(pickle.dumps(report)) <= 16 * nonzeros + 2048
+
+
 def _support(U, thr=1e-6):
     return int(np.count_nonzero(np.abs(U) > thr))
 
@@ -397,6 +445,34 @@ def test_open_gap_is_never_reported_optimal(monkeypatch):
     assert report.signal is None
     assert report.lp_objective - report.dual_objective > 1.0 - 1e-6
     assert tols[-3:] == pytest.approx([1e-8, 1e-9, 1e-10])
+    assert report.pricing_rounds == len(tols)
+
+
+@pytest.mark.parametrize("overshooting_calls, status", [
+    (1, SolveStatus.OPTIMAL), (3, SolveStatus.NUMERICAL_FAILURE)])
+def test_overshoot_is_solved_again_at_a_tighter_tolerance(overshooting_calls, status,
+                                                         monkeypatch):
+    # the interior point meets |u| <= 1 only to its primal tolerance; a
+    # control 2e-9 outside the box is solved again, at most twice, and
+    # rejected only if it still overshoots
+    import handsoff.solver
+
+    tols = []
+    original = handsoff.solver.solve_ip
+
+    def overshooting(lp, tol=1e-8, **kwargs):
+        tols.append(tol)
+        res = original(lp, tol=tol, **kwargs)
+        if len(tols) > overshooting_calls:
+            return res
+        x = res.x.copy()
+        x[int(np.argmax(np.abs(x)))] *= 1.0 + 2e-9 / np.max(np.abs(x))
+        return dataclasses.replace(res, x=x)
+
+    monkeypatch.setattr(handsoff.solver, "solve_ip", overshooting)
+    report = solve(double_integrator([1.0, 0.0], 10.0, 100))
+    assert report.status is status
+    assert tols == pytest.approx([1e-8, 1e-9, 1e-10][:min(overshooting_calls + 1, 3)])
     assert report.pricing_rounds == len(tols)
 
 
