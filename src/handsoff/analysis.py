@@ -113,15 +113,12 @@ def check_fine_grid(N: int, substeps: int) -> None:
 
 
 def simulate_continuous(plant: PlantModel, signal: ControlSignal,
-                        x0: np.ndarray, substeps: int,
-                        method: str = "exact") -> np.ndarray:
+                        x0: np.ndarray, substeps: int) -> np.ndarray:
     """Integrate the continuous-time plant under the held control.
 
-    With ``method="exact"`` each slot is advanced with the exact flow at
-    step h/substeps, which is exact for an LTI plant under a held input;
-    ``method="rk4"`` uses classical 4th-order Runge-Kutta at the same
-    resolution and exists as an independent cross-check.  Returns the
-    fine trajectory with N*substeps + 1 rows; more than the memory guard
+    Each slot is advanced with the exact flow at step h/substeps, which
+    is exact for an LTI plant under a held input.  Returns the fine
+    trajectory with N*substeps + 1 rows; more than the memory guard
     raises ProblemTooLarge before anything is allocated.
     """
     if int(substeps) != substeps or substeps < 1:
@@ -136,34 +133,17 @@ def simulate_continuous(plant: PlantModel, signal: ControlSignal,
         raise DimensionMismatch(
             f"signal has {signal.m} channels, plant has {plant.m}")
     steps = signal.as_steps()
-    hf = signal.h / substeps
+    Adf, Bdf = zoh_discretize(plant, signal.h / substeps)
     traj = np.empty((signal.N * substeps + 1, n))
     traj[0] = x0
     x = x0
-    if method == "exact":
-        Adf, Bdf = zoh_discretize(plant, hf)
-        row = 1
-        for k in range(signal.N):
-            bu = Bdf @ steps[k]
-            for _ in range(substeps):
-                x = Adf @ x + bu
-                traj[row] = x
-                row += 1
-    elif method == "rk4":
-        A, B = plant.A, plant.B
-        row = 1
-        for k in range(signal.N):
-            bu = B @ steps[k]
-            for _ in range(substeps):
-                k1 = A @ x + bu
-                k2 = A @ (x + 0.5 * hf * k1) + bu
-                k3 = A @ (x + 0.5 * hf * k2) + bu
-                k4 = A @ (x + hf * k3) + bu
-                x = x + (hf / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                traj[row] = x
-                row += 1
-    else:
-        raise HandsOffError(f"unknown integration method {method!r}")
+    row = 1
+    for k in range(signal.N):
+        bu = Bdf @ steps[k]
+        for _ in range(substeps):
+            x = Adf @ x + bu
+            traj[row] = x
+            row += 1
     return traj
 
 

@@ -56,10 +56,10 @@ _CHUNK = 128
 # pricing round adds; a program this small is solved whole.
 _WORKING_SET = 2048
 # Times the restricted tolerance is cut 10x when pricing finds no column
-# but the gap is still open, or when an optimal round overshoots the box.
+# but the gap is still open.
 _TIGHTENINGS = 2
-# How far an interior-point control may leave the box |u| <= 1 and still
-# be clipped to it rather than rejected.
+# How far a control may leave the box |u| <= 1 and still be clipped to it
+# rather than rejected; the interior point stays inside to roundoff.
 _OVERSHOOT = 1e-9
 
 
@@ -82,7 +82,10 @@ class SolveReport:
     the crossover did afterwards.  On a program solved whole they are the
     primal/dual values certified by the interior-point termination; under
     column generation they are the restricted primal P, feasible for the
-    full program, and the dual value D priced over every column.
+    full program, and the dual value D priced over every column.  The
+    three residuals are the last round's relative interior-point
+    residuals; ``primal_residual`` covers the equality rows only, since
+    the interior point keeps its bound rows exactly.
     ``unpolished_support`` counts the entries of the interior-point
     control above the sparsity threshold, before the crossover.
     ``iterations`` sums the interior-point iterations of every round,
@@ -297,10 +300,7 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     P - D <= opt_tol * (1 + |P|) with D priced over every column; when
     pricing finds nothing while the gap is open, the restricted tolerance
     is cut 10x, at most ``_TIGHTENINGS`` times, before the loop gives up
-    with a numerical failure.  The interior point meets its bounds only
-    to its primal tolerance, so an optimal round whose control leaves the
-    box by more than ``_OVERSHOOT`` is solved again with the tolerance
-    cut 10x, from the same budget.
+    with a numerical failure.
     """
     K = lp.M.shape[1]
     cols = _initial_columns(m, N)
@@ -313,11 +313,6 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
         rounds += 1
         iterations += ip.iterations
         status, dual = ip.status, ip.dual_objective
-        if (status is SolveStatus.OPTIMAL and tightenings < _TIGHTENINGS
-                and float(np.max(np.abs(ip.x) - sub.ub)) > _OVERSHOOT):
-            tightenings += 1
-            tol /= 10.0
-            continue
         if cols is None:
             break
         outside = np.ones(K, dtype=bool)

@@ -84,6 +84,17 @@ def test_matches_highs_on_random_feasible_instances():
         assert lp.w @ np.abs(res.x) == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
 
 
+def test_optimal_point_stays_inside_the_box():
+    # the bound rows x + s = u tau hold from the start, so the box is met
+    # to roundoff, not only to the primal tolerance
+    rng = np.random.default_rng(15)
+    for _ in range(500):
+        lp = random_l1_program(rng, feasible=True)
+        res = solve_ip(lp)
+        assert res.status is SolveStatus.OPTIMAL
+        assert np.all(np.abs(res.x) <= lp.ub * (1 + 1e-14))
+
+
 def test_dual_objective_is_certified_lower_bound():
     rng = np.random.default_rng(11)
     for _ in range(20):
