@@ -448,9 +448,11 @@ def test_open_gap_is_never_reported_optimal(monkeypatch):
     assert report.pricing_rounds == len(tols)
 
 
-def test_overshoot_is_rejected_without_a_re_solve(monkeypatch):
+@pytest.mark.parametrize("overshooting_calls", [1, 3])
+def test_overshoot_is_rejected_without_a_re_solve(overshooting_calls, monkeypatch):
     # the interior point keeps its control inside the box, so a control
-    # 2e-9 outside it is a numerical failure, not a reason to solve again
+    # 2e-9 outside it is a numerical failure, not a reason to solve again,
+    # even when a second call would have come back inside
     import handsoff.solver
 
     tols = []
@@ -459,6 +461,8 @@ def test_overshoot_is_rejected_without_a_re_solve(monkeypatch):
     def overshooting(lp, tol=1e-8, **kwargs):
         tols.append(tol)
         res = original(lp, tol=tol, **kwargs)
+        if len(tols) > overshooting_calls:
+            return res
         x = res.x.copy()
         x[int(np.argmax(np.abs(x)))] *= 1.0 + 2e-9 / np.max(np.abs(x))
         return dataclasses.replace(res, x=x)
