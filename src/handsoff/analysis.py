@@ -5,6 +5,7 @@ minimum-support search that cross-checks the L1 route on small instances.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,44 @@ from .solver import SolveReport, SolverOptions, solve_discretized
 
 # Exhaustive support enumeration is capped at this many atoms.
 EXHAUSTIVE_BOUND = 24
+# l0_oracle decides at most this many supports of one size at a time.
+_CHUNK = 4096
+
+
+class Supports(Sequence):
+    """Supports of one size, read as tuples of atom indices.
+
+    Kept as one read-only (count, size) integer array, ``array``, rather
+    than one tuple per support; each item is built on access as a tuple
+    of Python ints.  Compares equal to a list of the same tuples.  An
+    index is below EXHAUSTIVE_BOUND, so one byte holds it.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        array = np.array(array, dtype=np.uint8, ndmin=2)
+        array.flags.writeable = False
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Supports(self.array[i])
+        return tuple(self.array[i].tolist())
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Supports):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Supports({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -51,7 +90,7 @@ class EquivalenceReport:
     l1_objective: float
     l0_certified_objective: float
     agree: bool
-    witness_supports: list[tuple[int, ...]]
+    witness_supports: Supports
     l1_support_unpolished: int
     polish_applied: bool
 
@@ -61,7 +100,7 @@ class L0OracleResult:
     """Minimum-cardinality feasible support data from exhaustive search."""
 
     min_support: int
-    witness_supports: list[tuple[int, ...]]
+    witness_supports: Supports
     certified_objective: float
     supports_checked: int
 
@@ -172,25 +211,15 @@ def min_energy_baseline(dp: DiscretizedPlant) -> tuple[ControlSignal, bool]:
 
 def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
                       feas_tol: float, tol: float) -> bool:
-    """Does some |U| <= 1 on the support hit the target?
+    """Phase-1 LP: does some |U| <= 1 on the support hit the target?
 
-    Independent columns admit at most one control, the least-squares one;
-    clipped to the box, it must miss by at most feas_tol in the phase-1
-    L1 measure.  Only a rank-deficient support solves the phase-1 LP.
+    For a support whose columns are dependent, which ``l0_oracle`` cannot
+    decide by least squares: feasible when the least L1 miss is at most
+    feas_tol.  A non-optimal LP raises HandsOffError.
     """
-    n = dp.n
+    n, k = dp.n, len(support)
     target = -dp.c
-    if not support:
-        return bool(np.max(np.abs(target), initial=0.0) <= feas_tol)
     Phi_S = dp.Phi[:, list(support)]
-    # quick reject: a row whose restricted absolute sum cannot reach the
-    # target magnitude rules the support out without an LP
-    if np.any(np.abs(target) > np.abs(Phi_S).sum(axis=1) + feas_tol):
-        return False
-    k = len(support)
-    U, _, rank, _ = np.linalg.lstsq(Phi_S, target, rcond=None)
-    if rank == k:
-        return float(np.abs(Phi_S @ np.clip(U, -1.0, 1.0) - target).sum()) <= feas_tol
     tmax = max(1.0, float(np.max(np.abs(target))) + float(np.max(np.abs(Phi_S).sum(axis=1))))
     # min sum |t| subject to Phi_S U + t == target, |U| <= 1
     lp = L1Program(
@@ -207,25 +236,16 @@ def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
 
 def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
                   lam: np.ndarray, tol: float) -> float:
-    """Minimum weighted fuel attainable on a fixed feasible support.
+    """Minimum weighted fuel on a feasible support with dependent columns.
 
-    Independent columns allow exactly one control on the support, which
-    is priced directly; only a rank-deficient support needs an LP.  (An
-    overdetermined support is consistent only to roundoff, and the LP
-    would read that as infeasible.)
+    The LP of ``l0_oracle``'s witnesses that least squares cannot price.
+    A non-optimal LP raises HandsOffError.
     """
-    if not support:
-        return 0.0
     idx = list(support)
-    Phi_S = dp.Phi[:, idx]
-    k = len(idx)
-    cost = dp.h * lam[idx]
-    U, _, rank, _ = np.linalg.lstsq(Phi_S, -dp.c, rcond=None)
-    if rank == k:
-        return float(cost @ np.abs(U))
-    result = solve_ip(L1Program(M=Phi_S, b=-dp.c, w=cost, ub=1.0), tol=tol)
+    result = solve_ip(L1Program(M=dp.Phi[:, idx], b=-dp.c, w=dp.h * lam[idx], ub=1.0),
+                      tol=tol)
     if result.status is not SolveStatus.OPTIMAL:
-        return float("inf")
+        raise HandsOffError(f"fuel LP for support {support}: {result.status.value}")
     return result.objective
 
 
@@ -239,6 +259,16 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
     support of that size, and certifies the best weighted fuel value
     attainable on any witness.  ``weights`` holds one weight per channel
     (default 1 each).
+
+    The supports of one size are decided together, up to _CHUNK of them
+    at a time.  A support whose absolute row sums cannot reach the target
+    is rejected outright.  Independent columns admit at most one control,
+    the least-squares one, which one SVD of the stacked columns gives for
+    the whole chunk: the support is feasible when that control, clipped
+    to the box, misses by at most feas_tol in the L1 measure, and its
+    fuel is priced directly.  (An overdetermined support is consistent
+    only to roundoff, and an LP would read that as infeasible.)  Only a
+    support with dependent columns goes to the phase-1 and fuel LPs.
     """
     K = dp.Phi.shape[1]
     if K > EXHAUSTIVE_BOUND:
@@ -247,20 +277,51 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
     lam = np.tile(np.ones(dp.m) if weights is None else weights, dp.N)
     feas_tol = options.feas_tol * (1.0 + float(np.linalg.norm(dp.c)))
     lp_tol = min(options.opt_tol, 1e-9)
+    target = -dp.c
+    if np.max(np.abs(target), initial=0.0) <= feas_tol:
+        return L0OracleResult(min_support=0, witness_supports=Supports(np.empty((1, 0))),
+                              certified_objective=0.0, supports_checked=1)
 
-    checked = 0
-    for k in range(K + 1):
-        witnesses = []
-        for support in itertools.combinations(range(K), k):
-            checked += 1
-            if _support_feasible(dp, support, feas_tol, lp_tol):
-                witnesses.append(support)
-        if witnesses:
-            best = min(_support_fuel(dp, s, lam, lp_tol) for s in witnesses)
+    n = dp.n
+    abs_target = np.abs(target)[:, None]
+    abs_Phi = np.abs(dp.Phi)
+    cost = dp.h * lam
+    checked = 1
+    for k in range(1, K + 1):
+        combinations = itertools.combinations(range(K), k)
+        witnesses, fuels = [], []
+        # cap a chunk's stacked columns near 8 MB however large n is
+        size = max(1, min(_CHUNK, 2**20 // (n * k)))
+        while chunk := list(itertools.islice(combinations, size)):
+            checked += len(chunk)
+            idx = np.array(chunk, dtype=np.intp)
+            idx = idx[~np.any(abs_target > abs_Phi[:, idx].sum(axis=2) + feas_tol, axis=0)]
+            feasible = np.zeros(len(idx), dtype=bool)
+            fuel = np.zeros(len(idx))
+            dependent = np.ones(len(idx), dtype=bool)
+            if k <= n and len(idx):
+                P = np.moveaxis(dp.Phi[:, idx], 0, 1)
+                W, sv, Vt = np.linalg.svd(P, full_matrices=False)
+                # lstsq's rank rule at its default rcond
+                full = sv[:, -1] > np.finfo(float).eps * max(n, k) * sv[:, 0]
+                U = (((target @ W[full]) / sv[full])[:, None, :] @ Vt[full])[:, 0]
+                miss = (P[full] @ np.clip(U, -1.0, 1.0)[:, :, None])[:, :, 0] - target
+                feasible[full] = np.abs(miss).sum(axis=1) <= feas_tol
+                fuel[full] = (cost[idx[full]] * np.abs(U)).sum(axis=1)
+                dependent = ~full
+            for i in np.flatnonzero(dependent):
+                support = tuple(idx[i].tolist())
+                if _support_feasible(dp, support, feas_tol, lp_tol):
+                    feasible[i] = True
+                    fuel[i] = _support_fuel(dp, support, lam, lp_tol)
+            witnesses.append(idx[feasible])
+            fuels.append(fuel[feasible])
+        witnesses = np.concatenate(witnesses)
+        if len(witnesses):
             return L0OracleResult(
                 min_support=k,
-                witness_supports=witnesses,
-                certified_objective=best,
+                witness_supports=Supports(witnesses),
+                certified_objective=float(np.concatenate(fuels).min()),
                 supports_checked=checked,
             )
     raise InfeasibleProblem(

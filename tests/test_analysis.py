@@ -32,6 +32,7 @@ from _instances import (
     equivalence_instance,
     feasible_problem,
     scalar_integrator,
+    stable_plant,
 )
 
 
@@ -323,6 +324,141 @@ def test_support_check_raises_when_phase1_lp_fails(monkeypatch):
     monkeypatch.setattr(handsoff.analysis, "solve_ip", stalled)
     with pytest.raises(HandsOffError):
         _support_feasible(dp, support, feas_tol=1e-6, tol=1e-9)
+
+
+def test_witness_fuel_lp_failure_raises(monkeypatch):
+    # the scalar integrator's witnesses have four atoms on one state, so
+    # each is priced by the fuel LP; a non-optimal outcome there is an
+    # error, not a witness silently dropped from the minimum
+    dp = build_reachability(scalar_integrator(1.0, 2.0, 8))
+    original = handsoff.analysis.solve_ip
+
+    def fuel_lp_stalls(lp, **kwargs):
+        if lp.M.shape[1] > 4:  # the phase-1 LP also carries n slack columns
+            return original(lp, **kwargs)
+        nan = float("nan")
+        return IPResult(status=SolveStatus.ITERATION_LIMIT, x=None, y=None,
+                        objective=nan, dual_objective=nan, primal_residual=nan,
+                        dual_residual=nan, gap_residual=nan, iterations=200)
+
+    monkeypatch.setattr(handsoff.analysis, "solve_ip", fuel_lp_stalls)
+    with pytest.raises(HandsOffError, match="fuel LP"):
+        l0_oracle(dp)
+
+
+def reference_l0_oracle(dp):
+    """Per-support minimum-support search: an oracle for l0_oracle that
+    decides each support on its own, by numpy's least squares when the
+    columns are independent and by HiGHS otherwise.  Returns
+    (min_support, witnesses, certified fuel, supports checked, and
+    whether the best fuel came from an LP)."""
+    target = -dp.c
+    feas_tol = 1e-6 * (1.0 + np.linalg.norm(dp.c))
+    K = dp.Phi.shape[1]
+    checked = 0
+    for k in range(K + 1):
+        witnesses, fuels = [], []
+        for support in itertools.combinations(range(K), k):
+            checked += 1
+            cols = dp.Phi[:, list(support)]
+            cost = np.full(k, dp.h)
+            if k == 0:
+                feasible, fuel = np.max(np.abs(target)) <= feas_tol, (0.0, False)
+            elif np.linalg.matrix_rank(cols) == k:
+                U = np.linalg.lstsq(cols, target, rcond=None)[0]
+                miss = np.abs(cols @ np.clip(U, -1.0, 1.0) - target).sum()
+                feasible, fuel = miss <= feas_tol, (float(cost @ np.abs(U)), False)
+            else:
+                n = dp.n
+                # min sum |t| subject to cols u + t == target, |u| <= 1
+                phase1 = linprog(np.concatenate([np.zeros(k), np.ones(2 * n)]),
+                                 A_eq=np.hstack([cols, np.eye(n), -np.eye(n)]), b_eq=target,
+                                 bounds=[(-1.0, 1.0)] * k + [(0.0, None)] * (2 * n),
+                                 method="highs")
+                assert phase1.status == 0
+                feasible = phase1.fun <= feas_tol
+                if feasible:
+                    priced = linprog(np.concatenate([cost, cost]),
+                                     A_eq=np.hstack([cols, -cols]), b_eq=target,
+                                     bounds=(0.0, 1.0), method="highs")
+                    assert priced.status == 0
+                    fuel = (priced.fun, True)
+            if feasible:
+                witnesses.append(support)
+                fuels.append(fuel)
+        if witnesses:
+            best, by_lp = min(fuels)
+            return k, witnesses, best, checked, by_lp
+    raise AssertionError("no feasible support")
+
+
+def reference_instances():
+    """Seeded random plants with n <= 5, m <= 2 and m*N <= 20, then the
+    scalar integrator and a plant whose two channels share one column."""
+    for seed in range(100):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 3))
+        N = int(rng.integers(2, 20 // m + 1))
+        # wide witnesses only where the enumeration stays short
+        widest = min(6 if m * N <= 8 else 3, m * N)
+        yield feasible_problem(rng, n, m, N, T=float(rng.uniform(0.5, 5.0)),
+                               witness_scale=0.8,
+                               witness_support=int(rng.integers(1, widest + 1)))
+    yield scalar_integrator(1.0, 2.0, 8)
+    # every slot's two atoms are one column, so pairs of them are dependent
+    rng = np.random.default_rng(800)
+    plant = stable_plant(rng, 3, 1)
+    twin = PlantModel(A=plant.A, B=np.hstack([plant.B, plant.B]))
+    probe = build_reachability(ControlProblem(plant=twin, x0=np.zeros(3), T=2.0, N=5))
+    x0 = -np.linalg.solve(np.linalg.matrix_power(probe.Ad, 5),
+                          probe.Phi @ np.array([0.9, 0.9, 0, 0, 0, 0, 0, 0, 0.9, 0.9]))
+    yield ControlProblem(plant=twin, x0=x0, T=2.0, N=5)
+
+
+def test_l0_oracle_matches_per_support_reference():
+    lp_priced = 0
+    for problem in reference_instances():
+        dp = build_reachability(problem)
+        result = l0_oracle(dp)
+        k, witnesses, fuel, checked, by_lp = reference_l0_oracle(dp)
+        assert result.min_support == k
+        assert result.witness_supports == witnesses
+        assert result.supports_checked == checked
+        # a fuel priced by least squares agrees to roundoff; one priced by
+        # an LP agrees to the interior point's tolerance
+        assert result.certified_objective == pytest.approx(fuel, rel=1e-9 if by_lp else 1e-12)
+        lp_priced += by_lp
+    assert lp_priced >= 3
+
+
+@pytest.mark.parametrize("problem", [
+    double_integrator([1.0, 0.0], 5.0, 8),
+    # 70 witnesses of four atoms, every one decided by the LPs
+    scalar_integrator(1.0, 2.0, 8),
+], ids=["anchor", "scalar"])
+def test_l0_oracle_chunking_keeps_the_answer(problem, monkeypatch):
+    dp = build_reachability(problem)
+    whole = l0_oracle(dp)
+    monkeypatch.setattr(handsoff.analysis, "_CHUNK", 5)
+    chunked = l0_oracle(dp)
+    assert len(whole.witness_supports) > 5
+    assert chunked.min_support == whole.min_support
+    assert chunked.witness_supports == whole.witness_supports
+    assert chunked.certified_objective == whole.certified_objective
+    assert chunked.supports_checked == whole.supports_checked
+    assert chunked == whole
+
+
+def test_witness_supports_keep_one_index_array():
+    result = l0_oracle(build_reachability(double_integrator([1.0, 0.0], 5.0, 8)))
+    store = result.witness_supports
+    assert not hasattr(store, "__dict__")  # the array is all it holds
+    assert store.array.dtype == np.uint8
+    assert store.array.shape == (15, 2)
+    assert not store.array.flags.writeable
+    assert store[0] == (0, 3) and store[-1] == (4, 7)
+    assert all(type(s) is tuple and all(type(a) is int for a in s) for s in store)
 
 
 def test_l0_oracle_two_channel_atoms():

@@ -248,6 +248,11 @@ def test_verify_equivalence_agrees(tmp_path):
     assert doc["agree"] is True
     assert doc["l1_support"] == doc["l0_support"] == 2
 
+    assert doc["witness_count"] == 15
+    assert doc["witness_supports"] == [
+        [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], [1, 4], [1, 5], [1, 6], [1, 7],
+        [2, 5], [2, 6], [2, 7], [3, 6], [3, 7], [4, 7]]
+
 
 def test_verify_equivalence_no_polish_disagrees(tmp_path):
     out = tmp_path / "eq.json"
