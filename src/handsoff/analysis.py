@@ -83,16 +83,17 @@ class SparsityReport:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Comparison of the polished L1 support against the exhaustive minimum."""
+    """Comparison of the polished L1 support against the exhaustive minimum.
+
+    The L1 side's objective and unpolished support are in the
+    ``SolveReport`` that ``verify_equivalence`` returns with it.
+    """
 
     l1_support: int
     l0_support: int
-    l1_objective: float
     l0_certified_objective: float
     agree: bool
     witness_supports: Supports
-    l1_support_unpolished: int
-    polish_applied: bool
 
 
 @dataclass(frozen=True)
@@ -221,12 +222,12 @@ def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
     target = -dp.c
     Phi_S = dp.Phi[:, list(support)]
     tmax = max(1.0, float(np.max(np.abs(target))) + float(np.max(np.abs(Phi_S).sum(axis=1))))
-    # min sum |t| subject to Phi_S U + t == target, |U| <= 1
+    # min sum |t| subject to Phi_S U + t == target, |U| <= 1, |t| <= tmax,
+    # posed in the unit box through t = tmax t'
     lp = L1Program(
-        M=np.hstack([Phi_S, np.eye(n)]),
+        M=np.hstack([Phi_S, tmax * np.eye(n)]),
         b=target,
-        w=np.concatenate([np.zeros(k), np.ones(n)]),
-        ub=np.concatenate([np.ones(k), np.full(n, tmax)]),
+        w=np.concatenate([np.zeros(k), np.full(n, tmax)]),
     )
     result = solve_ip(lp, tol=tol)
     if result.status is not SolveStatus.OPTIMAL:
@@ -242,8 +243,7 @@ def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
     A non-optimal LP raises HandsOffError.
     """
     idx = list(support)
-    result = solve_ip(L1Program(M=dp.Phi[:, idx], b=-dp.c, w=dp.h * lam[idx], ub=1.0),
-                      tol=tol)
+    result = solve_ip(L1Program(M=dp.Phi[:, idx], b=-dp.c, w=dp.h * lam[idx]), tol=tol)
     if result.status is not SolveStatus.OPTIMAL:
         raise HandsOffError(f"fuel LP for support {support}: {result.status.value}")
     return result.objective
@@ -357,11 +357,8 @@ def verify_equivalence(problem: ControlProblem,
     equivalence = EquivalenceReport(
         l1_support=l1_support,
         l0_support=oracle.min_support,
-        l1_objective=report.objective,
         l0_certified_objective=oracle.certified_objective,
         agree=agree,
         witness_supports=oracle.witness_supports,
-        l1_support_unpolished=report.unpolished_support,
-        polish_applied=report.polish_applied,
     )
     return equivalence, report

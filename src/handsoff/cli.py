@@ -251,13 +251,13 @@ def cmd_verify_equivalence(cfg: RunConfig) -> int:
         "problem": _problem_doc(problem),
         "agree": equivalence.agree,
         "l1_support": equivalence.l1_support,
-        "l1_support_unpolished": equivalence.l1_support_unpolished,
+        "l1_support_unpolished": report.unpolished_support,
         "l0_support": equivalence.l0_support,
-        "l1_objective": equivalence.l1_objective,
+        "l1_objective": report.objective,
         "l0_certified_objective": equivalence.l0_certified_objective,
         "witness_count": len(equivalence.witness_supports),
         "witness_supports": [list(s) for s in equivalence.witness_supports],
-        "polish_applied": equivalence.polish_applied,
+        "polish_applied": report.polish_applied,
         "iterations": report.iterations,
         "wall_time_sec": time.perf_counter() - started,
     }

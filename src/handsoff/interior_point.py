@@ -2,18 +2,18 @@
 
 Solves
     minimize    w @ |v|
-    subject to  M @ v == b,   |v| <= ub,
+    subject to  M @ v == b,   |v| <= 1,
 
 the one program the package has: the discretized minimum-fuel control,
 and the phase-1 and fixed-support programs of the exhaustive oracle.
 
-Internally v = p - q with p, q in [0, ub], which is the box LP
+Internally v = p - q with p, q in [0, 1], which is the box LP
 min [w; w] @ [p; q] subject to [M, -M] @ [p; q] == b.  The split is a
 private detail: [M, -M] is never formed, and every product with it is
 one product with M (``_split_dot``, ``_split_tdot``).  The box LP is
 solved with Mehrotra predictor-corrector steps on the homogeneous
 self-dual embedding of its standard form, whose upper bounds are rows
-x + s = u tau with slacks s.  The embedding makes status detection
+x + s = tau with slacks s.  The embedding makes status detection
 certificate-based: an infeasible flag is only reported after the scaled
 dual iterate passes an explicit Farkas check.
 
@@ -52,36 +52,32 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class L1Program:
-    """min w @ |v| subject to M @ v == b and |v| <= ub.
+    """min w @ |v| subject to M @ v == b and |v| <= 1.
 
-    ``ub`` may be a scalar, shared by every entry of v.
+    A program with another box |v_j| <= u_j is this one in the
+    variables v_j / u_j, with columns M_j u_j and weights w_j u_j.
     """
 
     M: np.ndarray
     b: np.ndarray
     w: np.ndarray
-    ub: np.ndarray
 
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
         b = np.asarray(self.b, dtype=float).ravel()
         w = np.asarray(self.w, dtype=float).ravel()
-        ub = np.asarray(self.ub, dtype=float)
         if M.ndim != 2:
             raise DimensionMismatch(f"equality matrix must be 2-D, got shape {M.shape}")
         n, K = M.shape
-        ub = np.full(K, float(ub)) if ub.ndim == 0 else ub.ravel()
-        if w.size != K or ub.size != K or b.size != n:
+        if w.size != K or b.size != n:
             raise DimensionMismatch(
                 f"inconsistent program dimensions: M is {n} x {K}, "
-                f"b has {b.size}, w has {w.size}, ub has {ub.size}")
-        if not all(np.all(np.isfinite(a)) for a in (M, b, w, ub)):
+                f"b has {b.size}, w has {w.size}")
+        if not all(np.all(np.isfinite(a)) for a in (M, b, w)):
             raise NonFiniteInput("program data contains non-finite entries")
-        if np.any(ub <= 0):
-            raise DimensionMismatch("all bounds must be strictly positive")
         if np.any(w < 0):
             raise DimensionMismatch("all weights must be nonnegative")
-        for name, arr in (("M", M), ("b", b), ("w", w), ("ub", ub)):
+        for name, arr in (("M", M), ("b", b), ("w", w)):
             object.__setattr__(self, name, arr)
 
 
@@ -149,7 +145,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     drop below ``tol``; the returned v lies in the box to roundoff, and
     ``objective`` is its fuel w @ |v|.  An infeasible status carries the
     equality-row ray ``farkas_y``, an n-vector in the original row units
-    with b @ y > sum_j ub_j |M[:, j] @ y|: no v in the box reaches b.
+    with b @ y > sum_j |M[:, j] @ y|: no v in the box reaches b.
     """
     n, K = lp.M.shape
 
@@ -163,21 +159,19 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     if cscale == 0.0:
         cscale = 1.0
     c = np.concatenate([lp.w, lp.w]) / cscale
-    u = np.concatenate([lp.ub, lp.ub])
 
     # Blind start of the homogeneous embedding: on the bound rows
-    # x + s = u tau, and centred, x z = s w = tau kappa = 1.
-    x = s = u
-    z = w = 1.0 / u
+    # x + s = tau, and centred, x z = s w = tau kappa = 1.
+    x = s = z = w = np.ones(2 * K)
     ye = np.zeros(n)
     tau, kappa = 2.0, 0.5
-    pairs = 2 * u.size + 1
+    pairs = 4 * K + 1  # x z, s w and tau kappa
 
     def residuals():
         rp = beq * tau - _split_dot(G, x)
         rd = c * tau - _split_tdot(G, ye) + w - z
         cx = c @ x
-        by = beq @ ye - u @ w
+        by = beq @ ye - w.sum()
         return rp, rd, cx, by, cx - by + kappa
 
     rp, rd, _, _, rg = residuals()
@@ -196,7 +190,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
         if status is SolveStatus.OPTIMAL:
             v = (x[:K] - x[K:]) / tau
             y = cscale * (ye / row_scale) / tau
-            dobj = cscale * (beq @ ye - u @ w) / tau
+            dobj = cscale * (beq @ ye - w.sum()) / tau
             return IPResult(status, v, y, float(lp.w @ np.abs(v)), float(dobj),
                             rho_p, rho_d, rho_A, it)
         farkas = ye / row_scale if status is SolveStatus.INFEASIBLE else None
@@ -232,7 +226,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
         iteration += 1
 
         # Mehrotra predictor-corrector on the embedding.  The bound rows
-        # hold exactly, so ds = u dtau - dx keeps them, and their duals are
+        # hold exactly, so ds = dtau - dx keeps them, and their duals are
         # -w.  Eliminating dz and dw leaves the normal equations in dx, dy
         # with theta = 1 / (z/x + w/s), capped where a variable is
         # numerically pinned so that the scaling stays finite even after
@@ -242,10 +236,9 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             ws = w / s
             theta = np.fmin(1.0 / (z / x + ws), 1e16)
             solve_kkt = _make_kkt_solver(G, theta)
-            uws = u * ws
-            dx1, dy1 = solve_kkt(c - uws, beq)
-            cc = c + uws
-            den = cc @ dx1 - beq @ dy1 - uws @ u - kappa / tau
+            dx1, dy1 = solve_kkt(c - ws, beq)
+            cc = c + ws
+            den = cc @ dx1 - beq @ dy1 - ws.sum() - kappa / tau
             gamma = 0.0
             for corrector in (False, True):
                 eta = 1.0 - gamma
@@ -258,10 +251,10 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
                     rtk -= dtau * dkappa
                 rsw_s = rsw / s
                 dx0, dy0 = solve_kkt(eta * rd + rsw_s - rxz / x, eta * rp)
-                dtau = (beq @ dy0 - cc @ dx0 - eta * rg - u @ rsw_s - rtk / tau) / den
+                dtau = (beq @ dy0 - cc @ dx0 - eta * rg - rsw_s.sum() - rtk / tau) / den
                 dx = dx0 + dtau * dx1
                 dye = dy0 + dtau * dy1
-                ds = u * dtau - dx
+                ds = dtau - dx
                 dz = (rxz - z * dx) / x
                 dw = (rsw - w * ds) / s
                 dkappa = (rtk - kappa * dtau) / tau
@@ -282,5 +275,5 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
 
 
 def _farkas_certified(G, ye, w, by) -> bool:
-    """Check A^T ye <= w to eps and by = b @ ye - u @ w > 0 for the witness."""
+    """Check A^T ye <= w to eps and by = b @ ye - sum(w) > 0 for the witness."""
     return float(np.max(_split_tdot(G, ye) - w, initial=0.0)) <= _FARKAS_RTOL * by

@@ -3,9 +3,9 @@
 The finite-dimensional program
     minimize    h * sum_k sum_i lambda_i |u_i[k]|
     subject to  ||U||_inf <= 1,   c + Phi @ U == 0,
-is handed to the interior-point engine as one weighted L1 program.
-Interior-point methods land in the relative interior of the optimal
-face, its least sparse point, so a purification crossover (Megiddo
+is handed to the interior-point engine as one weighted L1 program in the
+unit box.  Interior-point methods land in the relative interior of the
+optimal face, its least sparse point, so a purification crossover (Megiddo
 1991) then steps along null directions of the fractional columns of Phi
 to a vertex of that face: every entry in {-1, 0, +1} except at most n,
 the discrete bang-off-bang control.
@@ -19,14 +19,14 @@ every r-th slot, r = ceil(m N / _WORKING_SET), with all its channels and
 the last slot.  Each round solves the program restricted to the set and
 prices every column with one Phi^T y: the reduced cost |Phi_j^T y| - w_j
 is the dead-zone law, and
-    D = b @ y - sum_j ub_j (|Phi_j^T y| - w_j)_+
+    D = b @ y - sum_j (|Phi_j^T y| - w_j)_+
 over all columns bounds the full optimum from below for any y.  The
 loop stops once the restricted primal P, which is feasible for the full
 program, is within ``opt_tol * (1 + |P|)`` of D; otherwise the columns
 with the largest relative reduced cost join the set.  An infeasible
 round's Farkas ray certifies the full program when
-b @ y > sum_j ub_j |Phi_j^T y| over all columns; otherwise the columns
-with the largest ub_j |Phi_j^T y| join.  The crossover runs on the last
+b @ y > sum_j |Phi_j^T y| over all columns; otherwise the columns
+with the largest |Phi_j^T y| join.  The crossover runs on the last
 round's program.  On this path the reported ``lp_objective`` and
 ``dual_objective`` are P and D.  Up to ``_WORKING_SET`` columns r = 1:
 the one round is the full program with nothing to price, and the pair
@@ -120,7 +120,7 @@ def build_lp(dp: DiscretizedPlant, weights: np.ndarray) -> L1Program:
     if weights.shape != (dp.m,):
         raise DimensionMismatch(
             f"weights have shape {weights.shape}, plant has {dp.m} channels")
-    return L1Program(M=dp.Phi, b=-dp.c, w=dp.h * np.tile(weights, dp.N), ub=1.0)
+    return L1Program(M=dp.Phi, b=-dp.c, w=dp.h * np.tile(weights, dp.N))
 
 
 def _first_block(u: np.ndarray, d: np.ndarray) -> tuple[float, int, bool]:
@@ -307,8 +307,7 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     tol = opt_tol
     tightenings = rounds = iterations = 0
     while True:
-        sub = lp if cols is None else L1Program(
-            lp.M[:, cols], lp.b, lp.w[cols], lp.ub[cols])
+        sub = lp if cols is None else L1Program(lp.M[:, cols], lp.b, lp.w[cols])
         ip = solve_ip(sub, tol=tol)
         rounds += 1
         iterations += ip.iterations
@@ -319,13 +318,13 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
         outside[cols] = False
         if status is SolveStatus.OPTIMAL:
             reduced = np.abs(lp.M.T @ ip.y) - lp.w
-            dual = float(lp.b @ ip.y - lp.ub @ np.maximum(reduced, 0.0))
+            dual = float(lp.b @ ip.y - np.maximum(reduced, 0.0).sum())
             if ip.objective - dual <= opt_tol * (1.0 + abs(ip.objective)):
                 break
             with np.errstate(divide="ignore", invalid="ignore"):
                 score = np.where(outside & (reduced > 0.0), reduced / lp.w, 0.0)
         elif status is SolveStatus.INFEASIBLE:
-            reach = lp.ub * np.abs(lp.M.T @ ip.farkas_y)
+            reach = np.abs(lp.M.T @ ip.farkas_y)
             if float(lp.b @ ip.farkas_y) > float(reach.sum()):
                 break
             score = np.where(outside, reach, 0.0)

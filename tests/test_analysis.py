@@ -497,10 +497,10 @@ def test_verify_equivalence_zero_state():
 
 
 def test_verify_equivalence_double_integrator():
-    equivalence, _ = verify_equivalence(double_integrator([1.0, 0.0], 5.0, 8))
+    equivalence, report = verify_equivalence(double_integrator([1.0, 0.0], 5.0, 8))
     assert equivalence.agree
     assert equivalence.l1_support == equivalence.l0_support == 2
-    assert equivalence.l1_objective == pytest.approx(
+    assert report.objective == pytest.approx(
         equivalence.l0_certified_objective, rel=1e-6)
 
 
@@ -509,10 +509,10 @@ def test_verify_equivalence_exposes_polish_gap():
     with_polish, _ = verify_equivalence(problem)
     assert with_polish.agree
     assert with_polish.l1_support == 4
-    without, _ = verify_equivalence(problem, SolverOptions(polish=False))
+    without, report = verify_equivalence(problem, SolverOptions(polish=False))
     assert not without.agree
     assert without.l1_support == 8
-    assert without.l1_support_unpolished == 8
+    assert report.unpolished_support == 8
     assert without.l0_support == 4
 
 

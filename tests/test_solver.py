@@ -58,7 +58,6 @@ def test_build_lp_equality_blocks():
     lp = build_lp(dp, np.array([1.0]))
     assert np.array_equal(lp.M, dp.Phi)
     assert np.array_equal(lp.w, np.full(2, dp.h))
-    assert np.array_equal(lp.ub, np.ones(2))
 
 
 def test_build_lp_channel_count_checked():
