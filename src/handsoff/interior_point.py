@@ -9,22 +9,25 @@ and the phase-1 and fixed-support programs of the exhaustive oracle.
 
 Internally v = p - q with p, q in [0, 1], which is the box LP
 min [w; w] @ [p; q] subject to [M, -M] @ [p; q] == b.  The split is a
-private detail: [M, -M] is never formed, and every product with it is
-one product with M (``_split_dot``, ``_split_tdot``).  The box LP is
-solved with Mehrotra predictor-corrector steps on the homogeneous
-self-dual embedding of its standard form, whose upper bounds are rows
-x + s = tau with slacks s.  The embedding makes status detection
-certificate-based: an infeasible flag is only reported after the scaled
-dual iterate passes an explicit Farkas check.
+private detail: a split vector is held as a (2, K) array of its p and q
+halves, [M, -M] is never formed, and every product with it is one
+product with M (``_split_dot``, ``_split_tdot``).  The box LP is solved
+with Mehrotra predictor-corrector steps on the homogeneous self-dual
+embedding of its standard form, whose upper bounds are rows x + s = tau
+with slacks s.  The embedding makes status detection certificate-based:
+an infeasible flag is only reported after the scaled dual iterate passes
+an explicit Farkas check.
 
 The bound rows are kept implicitly (Lustig, Marsten & Shanno 1991;
 Wright 1997, ch. 11): the blind start lies on them and every step keeps
 them, so each iterate, and the returned v, is inside the box to
-roundoff, and their duals are -w, minus the duals of s.  Each KKT solve
-eliminates the diagonal blocks first, leaving the n x n Schur complement
-M diag(theta_p + theta_q) M^T (n = number of equality rows), factored
-once per iteration and solved once per right-hand side, so one
-iteration costs O(n^2 K + n^3) for K entries of v.
+roundoff, and their duals are -w, minus the duals of s.  The iterate
+x, s, z, w is one stacked array and so is the step, so that an update,
+a ratio test or a complementarity residual is one numpy call.  Each KKT
+solve eliminates the diagonal blocks first, leaving the n x n Schur
+complement M diag(theta_p + theta_q) M^T (n = number of equality rows),
+whose Cholesky factor is inverted once per iteration; an iteration costs
+O(n^2 K + n^3) for K entries of v.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ class L1Program:
         if M.ndim != 2:
             raise DimensionMismatch(f"equality matrix must be 2-D, got shape {M.shape}")
         n, K = M.shape
+        if K == 0:
+            raise DimensionMismatch("the program has no columns")
         if w.size != K or b.size != n:
             raise DimensionMismatch(
                 f"inconsistent program dimensions: M is {n} x {K}, "
@@ -97,35 +102,36 @@ class IPResult:
     farkas_y: np.ndarray | None = None
 
 
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _split_dot(G, x):
-    """[G, -G] @ x for a split vector x = [p; q]."""
-    K = G.shape[1]
-    return G @ (x[:K] - x[K:])
+    """[G, -G] @ x for a split vector x = [p; q], held as a (2, K) array."""
+    return G @ (x[0] - x[1])
 
 
 def _split_tdot(G, y):
-    """[G, -G].T @ y."""
-    t = G.T @ y
-    return np.concatenate([t, -t])
+    """[G, -G].T @ y as a (2, K) array."""
+    return _SIGNS * (G.T @ y)
 
 
 def _make_kkt_solver(G, theta):
     """Factor the normal equations for the current scaling.
 
     G is the row-scaled n x K equality matrix, A = [G, -G], and theta the
-    diagonal scaling of the 2K split box variables.  Returns a solver
-    (r1, r2) -> (dx, dy) for A dx = r2 with dx = theta (A^T dy - r1),
-    through the Schur complement S = G diag(theta_p + theta_q) G^T.
-    S = L L^T takes two triangular solves per right-hand side, or least
-    squares when S is not numerically positive definite.
+    diagonal scaling of the 2K split box variables, a (2, K) array.
+    Returns a solver (r1, r2) -> (dx, dy) for A dx = r2 with
+    dx = theta (A^T dy - r1), through the Schur complement
+    S = G diag(theta_p + theta_q) G^T.  S = L L^T is inverted once as
+    L^-1, so each right-hand side costs two matrix-vector products; least
+    squares serves when S is not numerically positive definite.
     """
-    K = G.shape[1]
-    S = (G * (theta[:K] + theta[K:])) @ G.T
+    S = (G * (theta[0] + theta[1])) @ G.T
     try:
-        L = np.linalg.cholesky(S)
+        Li = np.linalg.inv(np.linalg.cholesky(S))
 
         def ssolve(r):
-            return np.linalg.solve(L.T, np.linalg.solve(L, r))
+            return Li.T @ (Li @ r)
     except np.linalg.LinAlgError:
         def ssolve(r):
             return np.linalg.lstsq(S, r, rcond=None)[0]
@@ -155,22 +161,24 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     row_scale[row_scale == 0] = 1.0
     G = lp.M / row_scale[:, None]
     beq = lp.b / row_scale
-    cscale = float(np.max(lp.w)) if K else 1.0
-    if cscale == 0.0:
-        cscale = 1.0
-    c = np.concatenate([lp.w, lp.w]) / cscale
+    cscale = float(np.max(lp.w)) or 1.0
+    c = np.stack([lp.w, lp.w]) / cscale
 
     # Blind start of the homogeneous embedding: on the bound rows
-    # x + s = tau, and centred, x z = s w = tau kappa = 1.
-    x = s = z = w = np.ones(2 * K)
+    # x + s = tau, and centred, x z = s w = tau kappa = 1.  The rows of
+    # the iterate V and of the step dV are views that updates keep.
+    V = np.ones((4, 2, K))
+    dV = np.empty_like(V)
+    x, s, z, w = V
+    dx, ds = dV[:2]
     ye = np.zeros(n)
     tau, kappa = 2.0, 0.5
     pairs = 4 * K + 1  # x z, s w and tau kappa
 
     def residuals():
         rp = beq * tau - _split_dot(G, x)
-        rd = c * tau - _split_tdot(G, ye) + w - z
-        cx = c @ x
+        rd = c * tau - _split_tdot(G, ye) + (w - z)
+        cx = np.vdot(c, x)
         by = beq @ ye - w.sum()
         return rp, rd, cx, by, cx - by + kappa
 
@@ -179,16 +187,14 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     rd_norm0 = max(1.0, float(np.linalg.norm(rd)))
     rg_norm0 = max(1.0, abs(rg))
 
-    def max_step(dx, ds, dz, dw, dtau, dkappa, damp):
+    def max_step(dtau, dkappa, damp):
         # the fastest relative rate at which a variable falls toward zero
-        rate = max(float(np.max(-dx / x, initial=0.0)), float(np.max(-ds / s, initial=0.0)),
-                   float(np.max(-dz / z, initial=0.0)), float(np.max(-dw / w, initial=0.0)),
-                   -dtau / tau, -dkappa / kappa)
+        rate = max(-float(np.min(dV / V, initial=0.0)), -dtau / tau, -dkappa / kappa)
         return min(1.0, damp / rate) if rate > 0 else 1.0
 
     def finish(status, it, rho_p, rho_d, rho_A):
         if status is SolveStatus.OPTIMAL:
-            v = (x[:K] - x[K:]) / tau
+            v = (x[0] - x[1]) / tau
             y = cscale * (ye / row_scale) / tau
             dobj = cscale * (beq @ ye - w.sum()) / tau
             return IPResult(status, v, y, float(lp.w @ np.abs(v)), float(dobj),
@@ -200,7 +206,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     iteration = 0
     while True:
         rp, rd, cx, by, rg = residuals()
-        mu = (x @ z + s @ w + tau * kappa) / pairs  # 1 at the blind start
+        mu = (np.vdot(V[:2], V[2:]) + tau * kappa) / pairs  # 1 at the blind start
         # The iterate may drift along the (x, tau) scaling ray; optimality
         # is judged on the scaled candidate point, so residual norms are
         # divided by tau.  The raw norms feed the infeasibility tests.
@@ -228,47 +234,41 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
         # Mehrotra predictor-corrector on the embedding.  The bound rows
         # hold exactly, so ds = dtau - dx keeps them, and their duals are
         # -w.  Eliminating dz and dw leaves the normal equations in dx, dy
-        # with theta = 1 / (z/x + w/s), capped where a variable is
-        # numerically pinned so that the scaling stays finite even after
-        # an underflow of z and w in the endgame; dtau then follows from
-        # the gap row, with (dx1, dy1) the part of the step per unit dtau.
+        # with theta = 1 / (z/x + w/s), capped so that it stays finite
+        # after an underflow of z and w in the endgame; dtau follows from
+        # the gap row, with (dx1, dy1) the step per unit dtau, and R holds
+        # the complementarity residuals of x z and s w.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ws = w / s
             theta = np.fmin(1.0 / (z / x + ws), 1e16)
             solve_kkt = _make_kkt_solver(G, theta)
             dx1, dy1 = solve_kkt(c - ws, beq)
             cc = c + ws
-            den = cc @ dx1 - beq @ dy1 - ws.sum() - kappa / tau
+            den = np.vdot(cc, dx1) - beq @ dy1 - ws.sum() - kappa / tau
             gamma = 0.0
             for corrector in (False, True):
                 eta = 1.0 - gamma
-                rxz = gamma * mu - x * z
-                rsw = gamma * mu - s * w
+                R = gamma * mu - V[:2] * V[2:]
                 rtk = gamma * mu - tau * kappa
                 if corrector:
-                    rxz -= dx * dz
-                    rsw -= ds * dw
+                    R -= dV[:2] * dV[2:]
                     rtk -= dtau * dkappa
-                rsw_s = rsw / s
-                dx0, dy0 = solve_kkt(eta * rd + rsw_s - rxz / x, eta * rp)
-                dtau = (beq @ dy0 - cc @ dx0 - eta * rg - rsw_s.sum() - rtk / tau) / den
-                dx = dx0 + dtau * dx1
+                rsw_s = R[1] / s
+                dx0, dy0 = solve_kkt(eta * rd + rsw_s - R[0] / x, eta * rp)
+                dtau = (beq @ dy0 - np.vdot(cc, dx0) - eta * rg - rsw_s.sum() - rtk / tau) / den
+                np.add(dx0, dtau * dx1, out=dx)
+                np.subtract(dtau, dx, out=ds)
+                np.divide(R - V[2:] * dV[:2], V[:2], out=dV[2:])
                 dye = dy0 + dtau * dy1
-                ds = dtau - dx
-                dz = (rxz - z * dx) / x
-                dw = (rsw - w * ds) / s
                 dkappa = (rtk - kappa * dtau) / tau
                 if not corrector:
-                    alpha = max_step(dx, ds, dz, dw, dtau, dkappa, 1.0)
+                    alpha = max_step(dtau, dkappa, 1.0)
                     gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
-        if not (np.isfinite(dkappa) and all(np.all(np.isfinite(a)) for a in (dx, ds, dz, dw, dye))):
-            return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
+            if not (np.isfinite(dkappa) and np.isfinite(dV).all() and np.isfinite(dye).all()):
+                return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
+            alpha = max_step(dtau, dkappa, _ALPHA0)
 
-        alpha = max_step(dx, ds, dz, dw, dtau, dkappa, _ALPHA0)
-        x = x + alpha * dx
-        s = s + alpha * ds
-        z = z + alpha * dz
-        w = w + alpha * dw
+        V += alpha * dV
         ye = ye + alpha * dye
         tau += alpha * dtau
         kappa += alpha * dkappa

@@ -31,8 +31,8 @@ from _instances import (
     double_integrator,
     equivalence_instance,
     feasible_problem,
+    reference_instances,
     scalar_integrator,
-    stable_plant,
 )
 
 
@@ -390,30 +390,6 @@ def reference_l0_oracle(dp):
             best, by_lp = min(fuels)
             return k, witnesses, best, checked, by_lp
     raise AssertionError("no feasible support")
-
-
-def reference_instances():
-    """Seeded random plants with n <= 5, m <= 2 and m*N <= 20, then the
-    scalar integrator and a plant whose two channels share one column."""
-    for seed in range(100):
-        rng = np.random.default_rng(700 + seed)
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 3))
-        N = int(rng.integers(2, 20 // m + 1))
-        # wide witnesses only where the enumeration stays short
-        widest = min(6 if m * N <= 8 else 3, m * N)
-        yield feasible_problem(rng, n, m, N, T=float(rng.uniform(0.5, 5.0)),
-                               witness_scale=0.8,
-                               witness_support=int(rng.integers(1, widest + 1)))
-    yield scalar_integrator(1.0, 2.0, 8)
-    # every slot's two atoms are one column, so pairs of them are dependent
-    rng = np.random.default_rng(800)
-    plant = stable_plant(rng, 3, 1)
-    twin = PlantModel(A=plant.A, B=np.hstack([plant.B, plant.B]))
-    probe = build_reachability(ControlProblem(plant=twin, x0=np.zeros(3), T=2.0, N=5))
-    x0 = -np.linalg.solve(np.linalg.matrix_power(probe.Ad, 5),
-                          probe.Phi @ np.array([0.9, 0.9, 0, 0, 0, 0, 0, 0, 0.9, 0.9]))
-    yield ControlProblem(plant=twin, x0=x0, T=2.0, N=5)
 
 
 def test_l0_oracle_matches_per_support_reference():

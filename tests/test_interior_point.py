@@ -1,8 +1,20 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from handsoff import DimensionMismatch, L1Program, NonFiniteInput, SolveStatus, solve_ip
+from handsoff import (
+    DimensionMismatch,
+    L1Program,
+    NonFiniteInput,
+    SolveStatus,
+    build_reachability,
+    solve_ip,
+)
+from handsoff.interior_point import _make_kkt_solver
+
+from _instances import reference_instances
 
 
 def random_l1_program(rng, feasible=True):
@@ -42,6 +54,8 @@ def test_lp_problem_validates_shapes():
         L1Program(M=[[1.0, np.inf]], b=[1.0], w=[1.0, 1.0])
     with pytest.raises(NonFiniteInput):
         L1Program(M=[[1.0]], b=[np.nan], w=[1.0])
+    with pytest.raises(DimensionMismatch):
+        L1Program(M=np.zeros((1, 0)), b=[1.0], w=[])
 
 
 def test_simple_lp_solution():
@@ -141,3 +155,78 @@ def test_residuals_reported_below_tolerance():
     assert res.primal_residual <= 1e-8
     assert res.dual_residual <= 1e-8
     assert res.gap_residual <= 1e-8
+
+
+def assert_solves_kkt(G, theta, r1, r2):
+    """(dx, dy) must satisfy [G, -G] dx = r2 and dx = theta ([G, -G]^T dy - r1),
+    each to 1e-10 relative to the size of the terms it sums."""
+    A = np.hstack([G, -G])
+    dx, dy = _make_kkt_solver(G, theta)(r1, r2)
+    dx, theta, r1 = dx.ravel(), theta.ravel(), r1.ravel()
+    t = A.T @ dy
+    terms = theta * (np.abs(t) + np.abs(r1))
+    assert np.linalg.norm(A @ dx - r2) <= 1e-10 * (np.linalg.norm(r2)
+                                                   + np.linalg.norm(np.abs(A) @ terms))
+    assert np.all(np.abs(dx - theta * (t - r1)) <= 1e-10 * terms)
+
+
+def random_kkt_system(rng, shared_row=False):
+    n = int(rng.integers(2 if shared_row else 1, 9))
+    K = int(rng.integers(n, 51))
+    G = rng.normal(size=(n, K))
+    r2 = rng.normal(size=n)
+    if shared_row:
+        # a consistent system whose Schur complement is singular
+        G[1], r2[1] = G[0], r2[0]
+    theta = 10.0 ** rng.uniform(-4.0, 4.0, size=(2, K))
+    return G, theta, rng.normal(size=(2, K)), r2
+
+
+def test_kkt_solver_solves_the_normal_equations():
+    rng = np.random.default_rng(16)
+    for _ in range(100):
+        assert_solves_kkt(*random_kkt_system(rng))
+
+
+def test_kkt_solver_falls_back_to_least_squares_on_equal_rows(monkeypatch):
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        assert_solves_kkt(*random_kkt_system(rng, shared_row=True))
+    # a singular Schur complement may still pass Cholesky on roundoff, but
+    # not on every draw
+    assert calls
+
+
+PRIMAL_FLOOR = ("iteration_limit: full steps while the primal residual stays between "
+                "1e-9 and 1e-6, an accuracy floor of the normal equations")
+
+
+@pytest.mark.parametrize("instance, support", [
+    pytest.param(3, (2, 8, 9, 11, 13, 15), marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="iteration_limit: the primal residual stays above 1e-9 while mu falls to "
+               "1e-22, then the gap row's denominator vanishes and the steps collapse")),
+    pytest.param(20, (1, 3, 6, 7, 8), marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=PRIMAL_FLOOR)),
+    pytest.param(20, (1, 3, 4, 5, 7, 9), marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=PRIMAL_FLOOR)),
+    (23, (1, 4, 5, 7, 9)),
+])
+def test_feasible_fixed_support_fuel_program_is_solved(instance, support):
+    # fuel programs of the exhaustive oracle above the minimum support,
+    # feasible, on which the interior point has run to its iteration limit
+    dp = build_reachability(next(islice(reference_instances(), instance, None)))
+    M, w = dp.Phi[:, list(support)], np.full(len(support), dp.h)
+    ref = linprog(np.concatenate([w, w]), A_eq=np.hstack([M, -M]), b_eq=-dp.c,
+                  bounds=(0.0, 1.0), method="highs")
+    assert ref.status == 0
+    res = solve_ip(L1Program(M, -dp.c, w), tol=1e-9)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(ref.fun, rel=1e-8)
