@@ -19,9 +19,8 @@ from .errors import (
     ProblemTooLarge,
     RankDeficient,
 )
-from .interior_point import L1Program, SolveStatus, solve_ip
-from .model import MEMORY_GUARD, ControlProblem, ControlSignal, PlantModel
-from .solver import SolveReport, SolverOptions, solve_discretized
+from .model import MEMORY_GUARD, ControlProblem, ControlSignal, PlantModel, validate_weights
+from .solver import SolveReport, SolverOptions, SolveStatus, solve_discretized
 
 # Exhaustive support enumeration is capped at this many atoms.
 EXHAUSTIVE_BOUND = 24
@@ -210,43 +209,34 @@ def min_energy_baseline(dp: DiscretizedPlant) -> tuple[ControlSignal, bool]:
     return ControlSignal(U=U, h=dp.h, m=dp.m, N=dp.N), violation
 
 
-def _support_feasible(dp: DiscretizedPlant, support: tuple[int, ...],
-                      feas_tol: float, tol: float) -> bool:
-    """Phase-1 LP: does some |U| <= 1 on the support hit the target?
+def _vertex_fuel(P: np.ndarray, cost: np.ndarray, r: int, target: np.ndarray,
+                 feas_tol: float) -> np.ndarray:
+    """Least accepted fuel of each support of ``P``, over its vertex candidates.
 
-    For a support whose columns are dependent, which ``l0_oracle`` cannot
-    decide by least squares: feasible when the least L1 miss is at most
-    feas_tol.  A non-optimal LP raises HandsOffError.
+    ``P`` stacks the supports' columns, (count, n, k), all of rank r < k,
+    and ``cost`` their atoms' h * lambda; ``l0_oracle`` states the rule.
+    Returns inf where no candidate is accepted.
     """
-    n, k = dp.n, len(support)
-    target = -dp.c
-    Phi_S = dp.Phi[:, list(support)]
-    tmax = max(1.0, float(np.max(np.abs(target))) + float(np.max(np.abs(Phi_S).sum(axis=1))))
-    # min sum |t| subject to Phi_S U + t == target, |U| <= 1, |t| <= tmax,
-    # posed in the unit box through t = tmax t'
-    lp = L1Program(
-        M=np.hstack([Phi_S, tmax * np.eye(n)]),
-        b=target,
-        w=np.concatenate([np.zeros(k), np.full(n, tmax)]),
-    )
-    result = solve_ip(lp, tol=tol)
-    if result.status is not SolveStatus.OPTIMAL:
-        raise HandsOffError(f"phase-1 LP for support {support}: {result.status.value}")
-    return result.objective <= feas_tol
-
-
-def _support_fuel(dp: DiscretizedPlant, support: tuple[int, ...],
-                  lam: np.ndarray, tol: float) -> float:
-    """Minimum weighted fuel on a feasible support with dependent columns.
-
-    The LP of ``l0_oracle``'s witnesses that least squares cannot price.
-    A non-optimal LP raises HandsOffError.
-    """
-    idx = list(support)
-    result = solve_ip(L1Program(M=dp.Phi[:, idx], b=-dp.c, w=dp.h * lam[idx]), tol=tol)
-    if result.status is not SolveStatus.OPTIMAL:
-        raise HandsOffError(f"fuel LP for support {support}: {result.status.value}")
-    return result.objective
+    count, n, k = P.shape
+    fuel = np.full(count, np.inf)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=r)))
+    for basis in itertools.combinations(range(k), r):
+        rest = [j for j in range(k) if j not in basis]
+        W, sv, Vt = np.linalg.svd(P[:, :, basis], full_matrices=False)
+        ok = np.flatnonzero(sv[:, -1] > np.finfo(float).eps * max(n, r) * sv[:, 0])
+        W, sv, Vt, cols, price = W[ok], sv[ok], Vt[ok], P[ok], cost[ok]
+        fixed = cols[:, :, rest]
+        u = np.empty((len(ok), k))
+        for sigma in signs:
+            y = W @ ((Vt @ (price[:, basis] * sigma)[:, :, None]) / sv[:, :, None])
+            u[:, rest] = np.sign(np.swapaxes(fixed, 1, 2) @ y)[:, :, 0]
+            rhs = target - (fixed @ u[:, rest, None])[:, :, 0]
+            u[:, basis] = (((rhs[:, None, :] @ W) / sv[:, None, :]) @ Vt)[:, 0]
+            miss = (cols @ np.clip(u, -1.0, 1.0)[:, :, None])[:, :, 0] - target
+            accepted = np.abs(miss).sum(axis=1) <= feas_tol
+            best = ok[accepted]
+            fuel[best] = np.minimum(fuel[best], (price[accepted] * np.abs(u[accepted])).sum(axis=1))
+    return fuel
 
 
 def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
@@ -258,25 +248,31 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
     cardinality admitting a feasible control, returns every witness
     support of that size, and certifies the best weighted fuel value
     attainable on any witness.  ``weights`` holds one weight per channel
-    (default 1 each).
+    (default 1 each), checked as ``validate_problem`` checks them.
 
-    The supports of one size are decided together, up to _CHUNK of them
-    at a time.  A support whose absolute row sums cannot reach the target
-    is rejected outright.  Independent columns admit at most one control,
-    the least-squares one, which one SVD of the stacked columns gives for
-    the whole chunk: the support is feasible when that control, clipped
-    to the box, misses by at most feas_tol in the L1 measure, and its
-    fuel is priced directly.  (An overdetermined support is consistent
-    only to roundoff, and an LP would read that as infeasible.)  Only a
-    support with dependent columns goes to the phase-1 and fuel LPs.
+    The supports of one size are decided together, up to _CHUNK at a
+    time, with no LP.  A support whose absolute row sums cannot reach the
+    target is rejected outright; one SVD of the stacked columns gives the
+    rank r of every other.  A support of k atoms is feasible exactly when
+    one of its vertices u is: clipped to the box, u misses the target by
+    at most feas_tol in the L1 measure, and its fuel is h * lambda @ |u|.
+    For r = k the one candidate is the least-squares control, from the
+    same SVD.  For r < k each r-subset F of independent columns and each
+    sign vector sigma in {-1, +1}^r give one: the basis costate
+    y = pinv(Phi_F^T)(h lambda_F sigma) fixes every other atom j at
+    sign(Phi_j^T y), the maximum principle's sign law, and F takes the
+    least-squares rest.  This is exact under two preconditions.  k is the
+    minimum cardinality: no feasible point then has a zero entry, so the
+    fuel LP on a witness has an optimal basis F whose other atoms sit at
+    +-1, where |Phi_j^T y| >= h lambda_j.  Every weight is positive, so
+    that bound is above 0 and fixes the sign.
     """
     K = dp.Phi.shape[1]
     if K > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundExceeded(
             f"m*N = {K} exceeds the exhaustive enumeration bound of {EXHAUSTIVE_BOUND}")
-    lam = np.tile(np.ones(dp.m) if weights is None else weights, dp.N)
+    lam = np.tile(np.ones(dp.m) if weights is None else validate_weights(weights, dp.m), dp.N)
     feas_tol = options.feas_tol * (1.0 + float(np.linalg.norm(dp.c)))
-    lp_tol = min(options.opt_tol, 1e-9)
     target = -dp.c
     if np.max(np.abs(target), initial=0.0) <= feas_tol:
         return L0OracleResult(min_support=0, witness_supports=Supports(np.empty((1, 0))),
@@ -296,24 +292,21 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
             checked += len(chunk)
             idx = np.array(chunk, dtype=np.intp)
             idx = idx[~np.any(abs_target > abs_Phi[:, idx].sum(axis=2) + feas_tol, axis=0)]
-            feasible = np.zeros(len(idx), dtype=bool)
-            fuel = np.zeros(len(idx))
-            dependent = np.ones(len(idx), dtype=bool)
-            if k <= n and len(idx):
+            fuel = np.full(len(idx), np.inf)
+            if len(idx):
                 P = np.moveaxis(dp.Phi[:, idx], 0, 1)
                 W, sv, Vt = np.linalg.svd(P, full_matrices=False)
                 # lstsq's rank rule at its default rcond
-                full = sv[:, -1] > np.finfo(float).eps * max(n, k) * sv[:, 0]
+                rank = np.count_nonzero(sv > np.finfo(float).eps * max(n, k) * sv[:, :1], axis=1)
+                full = rank == k
                 U = (((target @ W[full]) / sv[full])[:, None, :] @ Vt[full])[:, 0]
                 miss = (P[full] @ np.clip(U, -1.0, 1.0)[:, :, None])[:, :, 0] - target
-                feasible[full] = np.abs(miss).sum(axis=1) <= feas_tol
-                fuel[full] = (cost[idx[full]] * np.abs(U)).sum(axis=1)
-                dependent = ~full
-            for i in np.flatnonzero(dependent):
-                support = tuple(idx[i].tolist())
-                if _support_feasible(dp, support, feas_tol, lp_tol):
-                    feasible[i] = True
-                    fuel[i] = _support_fuel(dp, support, lam, lp_tol)
+                fuel[full] = np.where(np.abs(miss).sum(axis=1) <= feas_tol,
+                                      (cost[idx[full]] * np.abs(U)).sum(axis=1), np.inf)
+                for r in np.unique(rank[~full]).tolist():
+                    part = np.flatnonzero(rank == r)
+                    fuel[part] = _vertex_fuel(P[part], cost[idx[part]], r, target, feas_tol)
+            feasible = fuel < np.inf
             witnesses.append(idx[feasible])
             fuels.append(fuel[feasible])
         witnesses = np.concatenate(witnesses)

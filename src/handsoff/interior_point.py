@@ -4,8 +4,7 @@ Solves
     minimize    w @ |v|
     subject to  M @ v == b,   |v| <= 1,
 
-the one program the package has: the discretized minimum-fuel control,
-and the phase-1 and fixed-support programs of the exhaustive oracle.
+the one program the package has: the discretized minimum-fuel control.
 
 Internally v = p - q with p, q in [0, 1], which is the box LP
 min [w; w] @ [p; q] subject to [M, -M] @ [p; q] == b.  The split is a

@@ -156,14 +156,20 @@ def validate_problem(problem: ControlProblem) -> ControlProblem:
         raise NonpositiveHorizon(f"horizon T must be positive, got {problem.T}")
     if int(problem.N) != problem.N or problem.N < 1:
         raise NonpositiveHorizon(f"grid size N must be a positive integer, got {problem.N}")
-    if problem.weights.ndim != 1 or problem.weights.size != m:
-        raise DimensionMismatch(
-            f"weights must have length m = {m}, got shape {problem.weights.shape}")
-    if not np.all(np.isfinite(problem.weights)):
-        raise NonFiniteInput("weights contain non-finite entries")
-    if np.any(problem.weights <= 0):
-        raise NonpositiveWeight("all weights must be strictly positive")
+    validate_weights(problem.weights, m)
     return problem
+
+
+def validate_weights(weights, m: int) -> np.ndarray:
+    """One weight per channel as a float array, checked as ``validate_problem`` says."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (m,):
+        raise DimensionMismatch(f"weights must have length m = {m}, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise NonFiniteInput("weights contain non-finite entries")
+    if np.any(weights <= 0):
+        raise NonpositiveWeight("all weights must be strictly positive")
+    return weights
 
 
 _REQUIRED_FIELDS = ("A", "B", "x0", "T", "N")

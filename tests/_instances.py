@@ -73,14 +73,19 @@ def reference_instances():
                                witness_scale=0.8,
                                witness_support=int(rng.integers(1, widest + 1)))
     yield scalar_integrator(1.0, 2.0, 8)
-    # every slot's two atoms are one column, so pairs of them are dependent
+    yield twin_channel_problem()
+
+
+def twin_channel_problem() -> ControlProblem:
+    """A plant whose two channels share one column, so every slot's two
+    atoms are one column and pairs of them are dependent."""
     rng = np.random.default_rng(800)
     plant = stable_plant(rng, 3, 1)
     twin = PlantModel(A=plant.A, B=np.hstack([plant.B, plant.B]))
     probe = build_reachability(ControlProblem(plant=twin, x0=np.zeros(3), T=2.0, N=5))
     x0 = -np.linalg.solve(np.linalg.matrix_power(probe.Ad, 5),
                           probe.Phi @ np.array([0.9, 0.9, 0, 0, 0, 0, 0, 0, 0.9, 0.9]))
-    yield ControlProblem(plant=twin, x0=x0, T=2.0, N=5)
+    return ControlProblem(plant=twin, x0=x0, T=2.0, N=5)
 
 
 def certified_rest_to_rest_fuel(T, N):

@@ -1,31 +1,34 @@
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import handsoff.analysis
+import handsoff.interior_point
 from handsoff import (
     ControlProblem,
     ControlSignal,
     DimensionMismatch,
     ExhaustiveBoundExceeded,
-    HandsOffError,
     InfeasibleProblem,
+    NonFiniteInput,
+    NonpositiveWeight,
     PlantModel,
     RankDeficient,
     SolverOptions,
     build_reachability,
     l0_oracle,
     min_energy_baseline,
+    read_problem,
     simulate_continuous,
     simulate_discrete,
     solve,
     sparsity,
     verify_equivalence,
 )
-from handsoff.analysis import _support_feasible
-from handsoff.interior_point import IPResult, SolveStatus
 
 from _instances import (
     double_integrator,
@@ -33,6 +36,7 @@ from _instances import (
     feasible_problem,
     reference_instances,
     scalar_integrator,
+    twin_channel_problem,
 )
 
 
@@ -275,7 +279,10 @@ def test_l0_oracle_infeasible_instance():
     equivalence_instance(4),
     equivalence_instance(5),
     equivalence_instance(18),
-], ids=["anchor", "seed4", "seed5", "seed18"])
+    # supports of more atoms than states, or of twin atoms, are dependent
+    scalar_integrator(1.0, 2.0, 8),
+    twin_channel_problem(),
+], ids=["anchor", "seed4", "seed5", "seed18", "scalar", "twin"])
 def test_l0_oracle_feasibility_decisions_match_external_lp(problem):
     # cross-check the per-support verdicts against an independent solver
     # over every support of the minimal size and of one size below
@@ -291,59 +298,44 @@ def test_l0_oracle_feasibility_decisions_match_external_lp(problem):
             assert (ref.status == 0) == (support in witnesses), support
 
 
-def test_l0_oracle_solves_no_lp_on_independent_supports(monkeypatch):
-    # every support of the double-integrator anchor up to the minimum
-    # size has independent columns, so no phase-1 LP is needed
-    calls = []
-    original = handsoff.analysis.solve_ip
+def test_l0_oracle_solves_no_lp(monkeypatch):
+    # supports with dependent columns are decided by their vertices, so no
+    # module of the package reaches the interior point while the oracle runs
+    original = handsoff.interior_point.solve_ip
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def no_lp(*args, **kwargs):
+        raise AssertionError("l0_oracle called solve_ip")
 
-    monkeypatch.setattr(handsoff.analysis, "solve_ip", counted)
-    result = l0_oracle(build_reachability(double_integrator([1.0, 0.0], 5.0, 8)))
-    assert result.min_support == 2
-    assert len(result.witness_supports) == 15
-    assert calls == []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "handsoff" and getattr(module, "solve_ip", None) is original:
+            monkeypatch.setattr(module, "solve_ip", no_lp)
+    scalar = l0_oracle(build_reachability(scalar_integrator(1.0, 2.0, 8)))
+    assert scalar.min_support == 4 and len(scalar.witness_supports) == 70
+    twin = l0_oracle(build_reachability(twin_channel_problem()))
+    assert twin.min_support == 4 and twin.witness_supports == [(0, 1, 8, 9)]
 
 
-def test_support_check_raises_when_phase1_lp_fails(monkeypatch):
-    # a rank-deficient support that passes the quick reject goes to the
-    # phase-1 LP; a non-optimal outcome there is an error, not a verdict
+@pytest.mark.parametrize("weights, error", [
+    ([1.0, 5.0, 9.0], DimensionMismatch),
+    ([[1.0]], DimensionMismatch),
+    ([np.nan], NonFiniteInput),
+    ([np.inf], NonFiniteInput),
+    ([0.0], NonpositiveWeight),
+    ([-1.0], NonpositiveWeight),
+])
+def test_l0_oracle_rejects_bad_weights(weights, error):
     dp = build_reachability(scalar_integrator(1.0, 2.0, 8))
-    support = (0, 1, 2, 3)
-    assert np.linalg.matrix_rank(dp.Phi[:, list(support)]) == 1
-
-    def stalled(lp, **kwargs):
-        nan = float("nan")
-        return IPResult(status=SolveStatus.ITERATION_LIMIT, x=None, y=None,
-                        objective=nan, dual_objective=nan, primal_residual=nan,
-                        dual_residual=nan, gap_residual=nan, iterations=200)
-
-    monkeypatch.setattr(handsoff.analysis, "solve_ip", stalled)
-    with pytest.raises(HandsOffError):
-        _support_feasible(dp, support, feas_tol=1e-6, tol=1e-9)
+    with pytest.raises(error):
+        l0_oracle(dp, weights=weights)
 
 
-def test_witness_fuel_lp_failure_raises(monkeypatch):
-    # the scalar integrator's witnesses have four atoms on one state, so
-    # each is priced by the fuel LP; a non-optimal outcome there is an
-    # error, not a witness silently dropped from the minimum
-    dp = build_reachability(scalar_integrator(1.0, 2.0, 8))
-    original = handsoff.analysis.solve_ip
-
-    def fuel_lp_stalls(lp, **kwargs):
-        if lp.M.shape[1] > 4:  # the phase-1 LP also carries n slack columns
-            return original(lp, **kwargs)
-        nan = float("nan")
-        return IPResult(status=SolveStatus.ITERATION_LIMIT, x=None, y=None,
-                        objective=nan, dual_objective=nan, primal_residual=nan,
-                        dual_residual=nan, gap_residual=nan, iterations=200)
-
-    monkeypatch.setattr(handsoff.analysis, "solve_ip", fuel_lp_stalls)
-    with pytest.raises(HandsOffError, match="fuel LP"):
-        l0_oracle(dp)
+def test_l0_certified_objective_of_the_scalar_integrator_is_exact():
+    # every witness holds all four slots at -1, so the fuel is |x0| = 1
+    path = Path(__file__).resolve().parent.parent / "problems" / "scalar_integrator.json"
+    problem = read_problem(path.read_text())
+    equivalence, _ = verify_equivalence(problem)
+    assert equivalence.l0_support == 4
+    assert equivalence.l0_certified_objective == pytest.approx(1.0, rel=1e-12)
 
 
 def reference_l0_oracle(dp):
@@ -401,16 +393,17 @@ def test_l0_oracle_matches_per_support_reference():
         assert result.min_support == k
         assert result.witness_supports == witnesses
         assert result.supports_checked == checked
-        # a fuel priced by least squares agrees to roundoff; one priced by
-        # an LP agrees to the interior point's tolerance
-        assert result.certified_objective == pytest.approx(fuel, rel=1e-9 if by_lp else 1e-12)
+        # a fuel priced by least squares agrees to roundoff, and so does one
+        # the reference prices by HiGHS: the oracle prices the LP's optimal
+        # vertex itself
+        assert result.certified_objective == pytest.approx(fuel, rel=1e-12)
         lp_priced += by_lp
     assert lp_priced >= 3
 
 
 @pytest.mark.parametrize("problem", [
     double_integrator([1.0, 0.0], 5.0, 8),
-    # 70 witnesses of four atoms, every one decided by the LPs
+    # 70 witnesses of four atoms on one state, every one decided by its vertices
     scalar_integrator(1.0, 2.0, 8),
 ], ids=["anchor", "scalar"])
 def test_l0_oracle_chunking_keeps_the_answer(problem, monkeypatch):

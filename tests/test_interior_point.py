@@ -220,8 +220,9 @@ PRIMAL_FLOOR = ("iteration_limit: full steps while the primal residual stays bet
     (23, (1, 4, 5, 7, 9)),
 ])
 def test_feasible_fixed_support_fuel_program_is_solved(instance, support):
-    # fuel programs of the exhaustive oracle above the minimum support,
-    # feasible, on which the interior point has run to its iteration limit
+    # feasible fuel programs on one support of a reference instance, above
+    # its minimum support, on which the interior point has run to its
+    # iteration limit
     dp = build_reachability(next(islice(reference_instances(), instance, None)))
     M, w = dp.Phi[:, list(support)], np.full(len(support), dp.h)
     ref = linprog(np.concatenate([w, w]), A_eq=np.hstack([M, -M]), b_eq=-dp.c,
