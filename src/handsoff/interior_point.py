@@ -27,11 +27,24 @@ solve eliminates the diagonal blocks first, leaving the n x n Schur
 complement M diag(theta_p + theta_q) M^T (n = number of equality rows),
 whose Cholesky factor is inverted once per iteration; an iteration costs
 O(n^2 K + n^3) for K entries of v.
+
+The stop (relative residuals and a gap relative to 1 + |primal|) is
+nearly absolute when the fuel is small, so once it holds an endgame
+measures the gap relative to the fuel, floored at the smallest weight,
+and keeps stepping while that gap stays above the tolerance.  The
+iterate that met the stop is kept, and each later step replaces it only
+if it meets the stop again and halves the fuel-relative gap; any other
+step ends the solve with the kept iterate.  Interior-point iterates
+identify the optimal face in their last steps (Mehrotra & Ye 1993; Ye
+1992), so these few steps usually put v on the vertex of a unique
+optimum and leave the crossover little to pin.  Since the kept iterate
+always meets the stop, the endgame can never turn an optimal status
+into another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -43,6 +56,11 @@ _ALPHA0 = 0.99995
 # Reject an infeasibility verdict unless the Farkas violation is this
 # small relative to the certificate's objective gap.
 _FARKAS_RTOL = 1e-6
+# An endgame step is kept only if it cuts the fuel-relative gap at least
+# this much.  Near the optimal face the steps converge superlinearly; one
+# that does not halve the gap has met the accuracy floor of the normal
+# equations, where further steps add roundoff rather than accuracy.
+_HALVING = 0.5
 
 
 class SolveStatus(Enum):
@@ -145,12 +163,19 @@ def _make_kkt_solver(G, theta):
 def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     """Solve an L1 program to the requested relative tolerance.
 
-    Terminates optimal when the relative primal residual of the equality
-    rows, the relative dual residual and the relative duality gap all
-    drop below ``tol``; the returned v lies in the box to roundoff, and
-    ``objective`` is its fuel w @ |v|.  An infeasible status carries the
-    equality-row ray ``farkas_y``, an n-vector in the original row units
-    with b @ y > sum_j |M[:, j] @ y|: no v in the box reaches b.
+    Is optimal once the relative primal residual of the equality rows,
+    the relative dual residual and the duality gap relative to
+    1 + |primal| all drop below ``tol``; the returned v lies in the box to
+    roundoff, and ``objective`` is its fuel w @ |v|.  Then, while the gap
+    relative to max(|primal|, min w) is above ``tol``, the endgame keeps
+    that iterate and steps on: a step that again meets the stop and
+    halves that gap is kept in its place, and the first step that does
+    neither, is not finite or reaches ``maxiter`` returns the kept
+    iterate, still optimal.  The residuals are the returned iterate's;
+    ``iterations`` counts every step taken, a last step not kept
+    included.  An infeasible status carries the equality-row ray
+    ``farkas_y``, an n-vector in the original row units with
+    b @ y > sum_j |M[:, j] @ y|: no v in the box reaches b.
     """
     n, K = lp.M.shape
 
@@ -162,6 +187,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     beq = lp.b / row_scale
     cscale = float(np.max(lp.w)) or 1.0
     c = np.stack([lp.w, lp.w]) / cscale
+    c_min = float(np.min(c))
 
     # Blind start of the homogeneous embedding: on the bound rows
     # x + s = tau, and centred, x z = s w = tau kappa = 1.  The rows of
@@ -202,6 +228,8 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
         return IPResult(status, None, None, float("nan"), float("nan"),
                         rho_p, rho_d, rho_A, it, farkas_y=farkas)
 
+    # the last iterate that met the stop, kept while the endgame steps on
+    kept, kept_rel = None, 0.0
     iteration = 0
     while True:
         rp, rd, cx, by, rg = residuals()
@@ -218,16 +246,26 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
 
         # The embedding converges with tau -> 0 exactly when no finite
         # optimal pair exists; by > 0 then witnesses primal infeasibility.
-        if iteration and ((raw_p <= tol and raw_d <= tol and abs(rg) / rg_norm0 <= tol
-                           and tau <= tol * max(1.0, kappa))
-                          or (mu <= tol and tau <= tol * min(1.0, kappa))):
+        if kept is None and iteration and (
+                (raw_p <= tol and raw_d <= tol and abs(rg) / rg_norm0 <= tol
+                 and tau <= tol * max(1.0, kappa))
+                or (mu <= tol and tau <= tol * min(1.0, kappa))):
             if by > tol and _farkas_certified(G, ye, w, by):
                 return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A)
             return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
-        if rho_p <= tol and rho_d <= tol and rho_A <= tol:
-            return finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A)
+        optimal = rho_p <= tol and rho_d <= tol and rho_A <= tol
+        # the gap relative to the fuel, floored at the smallest weight (one
+        # slot's fuel); weights all zero leave no fuel to measure by
+        fuel = max(abs(cx), tau * c_min)
+        rel = float(abs(cx - by) / fuel) if fuel else 0.0
+        if kept is not None and not (optimal and rel <= _HALVING * kept_rel):
+            return replace(kept, iterations=iteration)
+        if optimal:
+            kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A), rel
+            if rel <= tol:
+                return kept
         if iteration >= maxiter:
-            return finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)
+            return kept or finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)
         iteration += 1
 
         # Mehrotra predictor-corrector on the embedding.  The bound rows
@@ -264,6 +302,8 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
                     alpha = max_step(dtau, dkappa, 1.0)
                     gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
             if not (np.isfinite(dkappa) and np.isfinite(dV).all() and np.isfinite(dye).all()):
+                if kept is not None:
+                    return replace(kept, iterations=iteration)
                 return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
             alpha = max_step(dtau, dkappa, _ALPHA0)
 

@@ -89,7 +89,8 @@ class SolveReport:
     ``unpolished_support`` counts the entries of the interior-point
     control above the sparsity threshold, before the crossover.
     ``iterations`` sums the interior-point iterations of every round,
-    and ``pricing_rounds`` counts the rounds (``solve_ip`` calls).
+    the endgame steps of ``solve_ip`` included, and ``pricing_rounds``
+    counts the rounds (``solve_ip`` calls).
     """
 
     status: SolveStatus

@@ -9,12 +9,14 @@ from handsoff import (
     L1Program,
     NonFiniteInput,
     SolveStatus,
+    build_lp,
     build_reachability,
     solve_ip,
 )
+from handsoff import interior_point
 from handsoff.interior_point import _make_kkt_solver
 
-from _instances import reference_instances
+from _instances import feasible_problem, reference_instances
 
 
 def random_l1_program(rng, feasible=True):
@@ -155,6 +157,45 @@ def test_residuals_reported_below_tolerance():
     assert res.primal_residual <= 1e-8
     assert res.dual_residual <= 1e-8
     assert res.gap_residual <= 1e-8
+
+
+@pytest.mark.parametrize("exit", ["nonfinite_step", "no_halving"])
+def test_endgame_exit_returns_the_kept_iterate(exit, monkeypatch):
+    # a fuel of 1.3e-2 lets today's stop hold at a gap of 5e-8 relative to
+    # the fuel, so the endgame steps on from there
+    problem = feasible_problem(np.random.default_rng(808), 4, 2, 500, T=1.0)
+    lp = build_lp(build_reachability(problem), problem.weights)
+    tol = 1e-8
+    k = 1
+    while solve_ip(lp, tol=tol, maxiter=k).status is not SolveStatus.OPTIMAL:
+        k += 1
+    # the stop first holds at iteration k, where maxiter returns that iterate
+    kept = solve_ip(lp, tol=tol, maxiter=k)
+    assert kept.iterations == k
+    assert kept.objective - kept.dual_objective > tol * kept.objective
+    assert solve_ip(lp, tol=tol).iterations > k
+
+    if exit == "nonfinite_step":
+        factors = []
+
+        def failing(G, theta):
+            factors.append(None)
+            solve = _make_kkt_solver(G, theta)
+            if len(factors) <= k:
+                return solve
+            return lambda r1, r2: tuple(np.nan * part for part in solve(r1, r2))
+
+        monkeypatch.setattr(interior_point, "_make_kkt_solver", failing)
+    else:
+        monkeypatch.setattr(interior_point, "_HALVING", 0.0)
+    res = solve_ip(lp, tol=tol)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.iterations == k + 1  # the step that was not kept counts
+    assert np.array_equal(res.x, kept.x) and np.array_equal(res.y, kept.y)
+    assert (res.objective, res.dual_objective) == (kept.objective, kept.dual_objective)
+    residuals = (res.primal_residual, res.dual_residual, res.gap_residual)
+    assert residuals == (kept.primal_residual, kept.dual_residual, kept.gap_residual)
+    assert max(residuals) <= tol
 
 
 def assert_solves_kkt(G, theta, r1, r2):
