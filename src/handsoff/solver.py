@@ -42,7 +42,7 @@ import numpy as np
 from .discretize import DiscretizedPlant, build_reachability, feasibility_radius
 from .errors import DimensionMismatch
 from .interior_point import IPResult, L1Program, SolveStatus, solve_ip
-from .model import ControlProblem, ControlSignal
+from .model import ControlProblem, ControlSignal, validate_weights
 
 # Fuel a crossover vertex may add over the interior point and still be
 # accepted, relative to 1 + |fuel|.
@@ -50,8 +50,6 @@ _ACCEPT = 1e-7
 # A null direction whose fuel slope is below this fraction of its
 # absolute fuel weight is flat: its sign is roundoff, not a fuel change.
 _FLAT = 1e-12
-# Pending columns the crossover solves against one held basis at a time.
-_CHUNK = 128
 # Column count of the first restricted program, and the most columns one
 # pricing round adds; a program this small is solved whole.
 _WORKING_SET = 2048
@@ -137,34 +135,6 @@ def _first_block(u: np.ndarray, d: np.ndarray) -> tuple[float, int, bool]:
     return float(ratio[i]), i, bool(shrinks[i])
 
 
-def _pin_against_basis(u: np.ndarray, v: np.ndarray, D: np.ndarray,
-                       cost_u: np.ndarray, cost_v: np.ndarray
-                       ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Crossover steps that enter v one by one against the held basis u.
-
-    The basic entries u have independent columns B, and D = B^-1 times
-    the entering columns, so entering entry k moves along [-D_k; 1].
-    Each step takes the way that lowers the fuel, or, when the slope is
-    flat, the way that shrinks the entering entry, and runs until that
-    entry reaches its level.  The basic entries keep their signs until
-    one reaches a level, so every slope is fixed and the basic entries
-    after each step are a cumulative sum.  Returns the number k of steps
-    before the first one in which a basic entry would reach a level (a
-    tie blocks), the levels of v[:k], and the basic entries after them.
-    """
-    sign_u = np.sign(u)
-    slope = cost_v * np.sign(v) - (cost_u * sign_u) @ D
-    flat = np.abs(slope) <= _FLAT * (cost_v + cost_u @ np.abs(D))
-    move = -np.sign(np.where(flat, v, slope))
-    shrinks = move * v < 0.0
-    step = np.where(shrinks, np.abs(v), 1.0 - np.abs(v)) * move
-    basic = sign_u[:, None] * (u[:, None] - np.cumsum(D * step, axis=1))
-    blocked = np.any((basic <= 0.0) | (basic >= 1.0), axis=0)
-    k = int(np.argmax(blocked)) if blocked.any() else v.size
-    levels = np.where(shrinks[:k], 0.0, np.sign(v[:k]))
-    return k, levels, (sign_u * basic[:, k - 1] if k else u)
-
-
 def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
                      options: SolverOptions = SolverOptions(), *,
                      rhs_scale: float) -> tuple[np.ndarray, bool, int]:
@@ -178,19 +148,17 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
     goes the way that raises the fuel and pins one entry at its level.
 
     Fractional entries enter in decreasing |u| order (Bixby & Saltzman
-    1994), so the largest form the basis and the many small ones are
-    pinned against it.  While the working set S holds n entries with
-    independent columns B, a chunk of up to ``_CHUNK`` pending columns
-    is solved against B at once, and ``_pin_against_basis`` pins every
-    entering entry up to the first step k that a basic entry blocks.
-    That step takes d = [-D_k; 1] from the same solve; a step while S is
-    not such a basis takes d from an SVD of the first n + 1 fractional
-    columns.  Either single step prefers (when both ways are flat) the
-    way whose first blocking entry reaches 0, and pins that entry, which
-    may change the basis.  The loop ends once the fractional columns are
-    linearly independent, which is a vertex with at most n fractional
-    entries; those are then re-solved by least squares against the
-    pinned ones, which restores the equality to roundoff.
+    1994), so the largest are held longest and the many small ones are
+    pinned against them.  Each step tops up a working set S of at most
+    n + 1 fractional entries from the pending ones and takes d as the
+    last right singular vector of Phi[:, S], a null vector once S holds
+    n + 1 entries or its columns are dependent.  It goes the way that
+    lowers the fuel, or, when both ways are flat, the way whose first
+    blocking entry reaches 0, and pins that entry.  The loop ends once
+    the fractional columns are linearly independent, which is a vertex
+    with at most n fractional entries; those are then re-solved by least
+    squares against the pinned ones, which restores the equality to
+    roundoff.
 
     Returns (control, accepted, steps), steps counting the entries
     pinned.  The vertex is accepted only if it stays within the bounds,
@@ -215,30 +183,15 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
     steps = 0
     while True:
         S = [j for j in S if 0.0 < abs(U[j]) < 1.0]
-        d = None
-        if len(S) == n and p < len(pending):
-            W, sv, Vt = np.linalg.svd(Phi[:, S])
-            if sv[-1] > rank_tol * sv[0]:
-                chunk = pending[p:p + _CHUNK]
-                D = Vt.T @ ((W.T @ Phi[:, chunk]) / sv[:, None])
-                k, levels, basic = _pin_against_basis(U[S], U[chunk], D, cost[S], cost[chunk])
-                U[chunk[:k]] = levels
-                U[S] = basic
-                p += k
-                steps += k
-                if k == len(chunk):
-                    continue
-                d = np.append(-D[:, k], 1.0)  # null vector of S + [chunk[k]]
         entering = pending[p:p + n + 1 - len(S)]
         S.extend(entering)
         p += len(entering)
         if not S:
             break
-        if d is None:
-            _, sv, Vt = np.linalg.svd(Phi[:, S])
-            if sv.size == len(S) and sv[-1] > rank_tol * sv[0]:
-                break  # independent columns: a vertex
-            d = Vt[-1]
+        _, sv, Vt = np.linalg.svd(Phi[:, S])
+        if sv.size == len(S) and sv[-1] > rank_tol * sv[0]:
+            break  # independent columns: a vertex
+        d = Vt[-1]
         u = U[S]
         slope = float(cost[S] * np.sign(u) @ d)
         if abs(slope) > _FLAT * float(cost[S] @ np.abs(d)):
@@ -437,6 +390,9 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
 
 
 def recompute_objective(signal: ControlSignal, weights: np.ndarray) -> float:
-    """h * sum_k sum_i lambda_i |u_i[k]| for an arbitrary signal."""
-    lam = np.tile(weights, signal.N)
+    """h * sum_k sum_i lambda_i |u_i[k]| for an arbitrary signal.
+
+    Bad weights raise the typed errors of ``validate_weights``.
+    """
+    lam = np.tile(validate_weights(weights, signal.m), signal.N)
     return float(signal.h * (lam @ np.abs(signal.U)))

@@ -8,7 +8,9 @@ from scipy.optimize import linprog
 
 from handsoff import (
     ControlProblem,
+    ControlSignal,
     DimensionMismatch,
+    NonpositiveWeight,
     PlantModel,
     SolveStatus,
     SolverOptions,
@@ -38,6 +40,11 @@ def fuel_reference(problem):
     res = linprog(np.concatenate([lam, lam]),
                   A_eq=np.hstack([dp.Phi, -dp.Phi]), b_eq=-dp.c,
                   bounds=[(0.0, 1.0)] * (2 * K), method="highs")
+    # a reference HiGHS did not solve, or whose point misses the target,
+    # would judge the solver against the wrong number
+    assert res.status == 0, res.message
+    x = res.x[:K] - res.x[K:]
+    assert np.linalg.norm(dp.Phi @ x + dp.c) <= 1e-9 * (1 + np.linalg.norm(dp.c))
     return res
 
 
@@ -137,6 +144,16 @@ def test_solver_invariants_on_random_instances():
         # reported objective equals its recomputation from the signal
         again = recompute_objective(report.signal, problem.weights)
         assert abs(report.objective - again) <= 1e-12 * (1 + abs(again))
+
+
+def test_recompute_objective_rejects_bad_weights():
+    signal = ControlSignal(U=[0.5, -1.0, 0.0], h=0.1, m=1, N=3)
+    assert recompute_objective(signal, [2.0]) == pytest.approx(0.3)
+    with pytest.raises(DimensionMismatch):
+        recompute_objective(signal, [1.0, 1.0])
+    for weights in ([0.0], [-1.0]):
+        with pytest.raises(NonpositiveWeight):
+            recompute_objective(signal, weights)
 
 
 def test_polish_never_degrades():
@@ -328,10 +345,11 @@ def _crossover_case(seed, n, m, N):
 
 # at_vertex: the interior point ends on a vertex to the sparsity
 # threshold, so the crossover finds at most n fractional entries, pins
-# none, and the support is the interior point's.  The other two still take
+# none, and the support is the interior point's.  The others still take
 # steps: seed 65's last round meets its fuel-relative gap with seven entries
-# between 1e-6 and 3e-5 of their levels, and the twin plant's optimal face
-# is not a vertex, since its two channels share one column.
+# between 1e-6 and 3e-5 of their levels, seed 152's column-generation solve
+# leaves the crossover a long run of pins, and the twin plant's optimal
+# face is not a vertex, since its two channels share one column.
 @pytest.mark.parametrize("make, working_set, at_vertex", [
     pytest.param(lambda: _crossover_case(51, 3, 2, 700), None, True,
                  id="51-3-2-700-None"),
@@ -343,6 +361,8 @@ def _crossover_case(seed, n, m, N):
                  id="65-2-2-300-16"),
     pytest.param(lambda: _crossover_case(71, 2, 2, 300), 16, True,
                  id="71-2-2-300-16"),
+    pytest.param(lambda: _crossover_case(152, 5, 1, 3000), None, False,
+                 id="152-5-1-3000-None"),
     pytest.param(twin_channel_problem, None, False, id="twin"),
 ])
 def test_crossover_invariants(make, working_set, at_vertex, monkeypatch):
@@ -489,26 +509,31 @@ def test_small_working_set_infeasible(monkeypatch):
 
 def test_open_gap_is_never_reported_optimal(monkeypatch):
     # a restricted solve whose primal value sits above every dual bound:
-    # pricing runs out of columns, the tolerance is cut twice, and the
-    # loop gives up instead of claiming optimality
+    # pricing adds columns until it finds none, the tolerance is cut twice,
+    # and the loop gives up instead of claiming optimality.  A bias of 1.0
+    # dwarfs the fuel; one of 1e-6 leaves the gap open by only 100 times
+    # the stop's bound, after three rounds of real pricing
     import handsoff.solver
 
-    tols = []
-    original = handsoff.solver.solve_ip
-
-    def biased(lp, tol=1e-8, **kwargs):
-        tols.append(tol)
-        res = original(lp, tol=tol, **kwargs)
-        return dataclasses.replace(res, objective=res.objective + 1.0)
-
     monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
-    monkeypatch.setattr(handsoff.solver, "solve_ip", biased)
-    report = solve(feasible_problem(np.random.default_rng(44), 2, 1, 80, T=2.0))
-    assert report.status is SolveStatus.NUMERICAL_FAILURE
-    assert report.signal is None
-    assert report.lp_objective - report.dual_objective > 1.0 - 1e-6
-    assert tols[-3:] == pytest.approx([1e-8, 1e-9, 1e-10])
-    assert report.pricing_rounds == len(tols)
+    original = handsoff.solver.solve_ip
+    for bias, problem, untightened in [
+            (1.0, feasible_problem(np.random.default_rng(44), 2, 1, 80, T=2.0), 2),
+            (1e-6, _crossover_case(71, 2, 2, 300), 3)]:
+        tols = []
+
+        def biased(lp, tol=1e-8, bias=bias, **kwargs):
+            tols.append(tol)
+            res = original(lp, tol=tol, **kwargs)
+            return dataclasses.replace(res, objective=res.objective + bias)
+
+        monkeypatch.setattr(handsoff.solver, "solve_ip", biased)
+        report = solve(problem)
+        assert report.status is SolveStatus.NUMERICAL_FAILURE
+        assert report.signal is None
+        assert report.lp_objective - report.dual_objective > bias * (1.0 - 1e-6)
+        assert tols == pytest.approx([1e-8] * untightened + [1e-9, 1e-10])
+        assert report.pricing_rounds == len(tols)
 
 
 @pytest.mark.parametrize("overshooting_calls", [1, 3])
