@@ -23,8 +23,10 @@ is the dead-zone law, and
 over all columns bounds the full optimum from below for any y.  The
 loop stops once the restricted primal P, which is feasible for the full
 program, is within ``opt_tol * (1 + |P|)`` of D; otherwise the columns
-with the largest relative reduced cost join the set.  An infeasible
-round's Farkas ray certifies the full program when
+with the largest relative reduced cost join the set, and the columns
+deep in the round's dead zone, reduced cost <= -``_DEEP`` w_j, leave it.
+A column leaves at most once, so the loop still ends.  An infeasible
+round prunes nothing; its Farkas ray certifies the full program when
 b @ y > sum_j |Phi_j^T y| over all columns; otherwise the columns
 with the largest |Phi_j^T y| join.  The crossover runs on the last
 round's program.  On this path the reported ``lp_objective`` and
@@ -53,6 +55,9 @@ _FLAT = 1e-12
 # Column count of the first restricted program, and the most columns one
 # pricing round adds; a program this small is solved whole.
 _WORKING_SET = 2048
+# A column leaves the working set once an optimal round's costate puts it
+# this deep in the dead zone: |Phi_j^T y| <= (1 - _DEEP) w_j.
+_DEEP = 0.01
 # Times the restricted tolerance is cut 10x when pricing finds no column
 # but the gap is still open.
 _TIGHTENINGS = 2
@@ -250,7 +255,10 @@ def _initial_columns(m: int, N: int) -> np.ndarray | None:
 def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solve:
     """Solve ``lp`` on a working set of columns priced by the dead-zone law.
 
-    See the module docstring.  An optimal status always carries
+    See the module docstring.  After an optimal round that adds columns,
+    those with |Phi_j^T y| <= (1 - ``_DEEP``) w_j leave the set, each at
+    most once; the round's support is on the dead-zone edge and stays.
+    An optimal status always carries
     P - D <= opt_tol * (1 + |P|) with D priced over every column; when
     pricing finds nothing while the gap is open, the restricted tolerance
     is cut 10x, at most ``_TIGHTENINGS`` times, before the loop gives up
@@ -258,6 +266,7 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     """
     K = lp.M.shape[1]
     cols = _initial_columns(m, N)
+    left = np.zeros(K, dtype=bool)  # columns that have left the set once
     tol = opt_tol
     tightenings = rounds = iterations = 0
     while True:
@@ -294,6 +303,10 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
             continue
         if new.size > _WORKING_SET:
             new = new[np.argpartition(score[new], -_WORKING_SET)[-_WORKING_SET:]]
+        if status is SolveStatus.OPTIMAL:
+            deep = (reduced[cols] <= -_DEEP * lp.w[cols]) & ~left[cols]
+            left[cols[deep]] = True
+            cols = cols[~deep]
         cols = np.union1d(cols, new)
     return _L1Solve(status, ip, sub, cols, dual, rounds, iterations)
 
