@@ -31,15 +31,18 @@ O(n^2 K + n^3) for K entries of v.
 The stop (relative residuals and a gap relative to 1 + |primal|) is
 nearly absolute when the fuel is small, so once it holds an endgame
 measures the gap relative to the fuel, floored at the smallest weight,
-and keeps stepping while that gap stays above the tolerance.  The
-iterate that met the stop is kept, and each later step replaces it only
-if it meets the stop again and halves the fuel-relative gap; any other
-step ends the solve with the kept iterate.  Interior-point iterates
-identify the optimal face in their last steps (Mehrotra & Ye 1993; Ye
-1992), so these few steps usually put v on the vertex of a unique
-optimum and leave the crossover little to pin.  Since the kept iterate
-always meets the stop, the endgame can never turn an optimal status
-into another.
+and keeps stepping while that gap stays above the tolerance or more
+than n entries of v are fractional, strictly inside (1e-6, 1 - 1e-6) in
+magnitude, the crossover's default band: a vertex of the box program
+has at most n.  The iterate that met the stop is kept, and each later
+step replaces it only if it meets the stop again and halves the
+fuel-relative gap; any other step ends the solve with the kept iterate.
+Interior-point iterates identify the optimal face in their last steps
+(Mehrotra & Ye 1993; Ye 1992), so these few steps usually put v on the
+vertex of a unique optimum and leave the crossover little to pin; on a
+face that is not a vertex they end at the first step that does not
+halve the gap.  Since the kept iterate always meets the stop, the
+endgame can never turn an optimal status into another.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ _FARKAS_RTOL = 1e-6
 # that does not halve the gap has met the accuracy floor of the normal
 # equations, where further steps add roundoff rather than accuracy.
 _HALVING = 0.5
+# An entry of v inside (_BAND, 1 - _BAND) in magnitude is fractional; the
+# endgame does not stop on a gap alone while more than n entries are.
+_BAND = 1e-6
 
 
 class SolveStatus(Enum):
@@ -167,8 +173,9 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     the relative dual residual and the duality gap relative to
     1 + |primal| all drop below ``tol``; the returned v lies in the box to
     roundoff, and ``objective`` is its fuel w @ |v|.  Then, while the gap
-    relative to max(|primal|, min w) is above ``tol``, the endgame keeps
-    that iterate and steps on: a step that again meets the stop and
+    relative to max(|primal|, min w) is above ``tol`` or more than n
+    entries of v are fractional, inside (``_BAND``, 1 - ``_BAND``) in
+    magnitude, the endgame keeps that iterate and steps on: a step that again meets the stop and
     halves that gap is kept in its place, and the first step that does
     neither, is not finite or reaches ``maxiter`` returns the kept
     iterate, still optimal.  The residuals are the returned iterate's;
@@ -262,7 +269,8 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             return replace(kept, iterations=iteration)
         if optimal:
             kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A), rel
-            if rel <= tol:
+            v = np.abs(kept.x)
+            if rel <= tol and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= n:
                 return kept
         if iteration >= maxiter:
             return kept or finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)

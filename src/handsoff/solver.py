@@ -14,25 +14,39 @@ The optimum touches few columns of Phi: by the maximum principle a slot
 is active only where the costate clears the dead zone,
 |Phi_j^T y| >= h lambda_j.  A program with more than ``_WORKING_SET``
 columns is therefore solved by column generation (Desrosiers & Lubbecke,
-"A Primer in Column Generation", 2005).  The working set starts from
-every r-th slot, r = ceil(m N / _WORKING_SET), with all its channels and
-the last slot.  Each round solves the program restricted to the set and
-prices every column with one Phi^T y: the reduced cost |Phi_j^T y| - w_j
-is the dead-zone law, and
+"A Primer in Column Generation", 2005).  Each round solves the program
+restricted to a working set and prices every column with one Phi^T y:
+the reduced cost |Phi_j^T y| - w_j is the dead-zone law, and
     D = b @ y - sum_j (|Phi_j^T y| - w_j)_+
-over all columns bounds the full optimum from below for any y.  The
-loop stops once the restricted primal P, which is feasible for the full
-program, is within ``opt_tol * (1 + |P|)`` of D; otherwise the columns
-with the largest relative reduced cost join the set, and the columns
-deep in the round's dead zone, reduced cost <= -``_DEEP`` w_j, leave it.
-A column leaves at most once, so the loop still ends.  An infeasible
-round prunes nothing; its Farkas ray certifies the full program when
-b @ y > sum_j |Phi_j^T y| over all columns; otherwise the columns
-with the largest |Phi_j^T y| join.  The crossover runs on the last
-round's program.  On this path the reported ``lp_objective`` and
-``dual_objective`` are P and D.  Up to ``_WORKING_SET`` columns r = 1:
-the one round is the full program with nothing to price, and the pair
-is the interior point's own certified primal/dual values.
+over all columns bounds the full optimum from below for any y.
+
+Round 1 is the coarse program: the same plant with each channel held
+over r = ceil(m N / ``_COARSE``) consecutive slots, whose columns and
+weights are sums of r fine ones, the program on a grid r times coarser
+(mesh refinement, as in direct transcription; Betts, "Practical Methods
+for Optimal Control", 2010, ch. 4).  The costate belongs to the
+continuous problem, so the coarse y prices the fine columns nearly as
+the fine optimum's would.  A held coarse control is a fine control of
+the same fuel, but no fine vertex, so the coarse round never ends the
+loop as optimal.  The first working set is every fine column of the
+coarse blocks that its control uses, which keeps it feasible, and the
+priced columns.  A coarse round that ends without a verdict falls back
+to every r-th slot, r = ceil(m N / ``_WORKING_SET``), with all its
+channels and the last slot.
+
+From then on the loop stops once the restricted primal P, which is
+feasible for the full program, is within ``opt_tol * (1 + |P|)`` of D;
+otherwise the columns with the largest relative reduced cost, at most
+``_WORKING_SET``, join the set, and the columns deep in the round's dead
+zone, reduced cost <= -``_DEEP`` w_j, leave it.  A column leaves at most
+once, so the loop still ends.  An infeasible round, coarse or fine,
+prunes nothing; its Farkas ray certifies the full program when
+b @ y > sum_j |Phi_j^T y| over all columns; otherwise the columns with
+the largest |Phi_j^T y| join.  The crossover runs on the last round's
+program.  On this path the reported ``lp_objective`` and
+``dual_objective`` are P and D.  Up to ``_WORKING_SET`` columns the one
+round is the full program with nothing to price, and the pair is the
+interior point's own certified primal/dual values.
 """
 
 from __future__ import annotations
@@ -42,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscretizedPlant, build_reachability, feasibility_radius
-from .errors import DimensionMismatch
 from .interior_point import IPResult, L1Program, SolveStatus, solve_ip
 from .model import ControlProblem, ControlSignal, validate_weights
 
@@ -52,9 +65,14 @@ _ACCEPT = 1e-7
 # A null direction whose fuel slope is below this fraction of its
 # absolute fuel weight is flat: its sign is roundoff, not a fuel change.
 _FLAT = 1e-12
-# Column count of the first restricted program, and the most columns one
-# pricing round adds; a program this small is solved whole.
+# The most columns one pricing round adds; a program this small is
+# solved whole.
 _WORKING_SET = 2048
+# Column count of the coarse program that opens column generation.
+_COARSE = 256
+# A coarse entry above this is held: its block's fine columns join the
+# first working set.
+_HELD = 1e-9
 # A column leaves the working set once an optimal round's costate puts it
 # this deep in the dead zone: |Phi_j^T y| <= (1 - _DEEP) w_j.
 _DEEP = 0.01
@@ -93,7 +111,8 @@ class SolveReport:
     control above the sparsity threshold, before the crossover.
     ``iterations`` sums the interior-point iterations of every round,
     the endgame steps of ``solve_ip`` included, and ``pricing_rounds``
-    counts the rounds (``solve_ip`` calls).
+    counts the rounds (``solve_ip`` calls), under column generation the
+    coarse round included.
     """
 
     status: SolveStatus
@@ -118,12 +137,10 @@ def build_lp(dp: DiscretizedPlant, weights: np.ndarray) -> L1Program:
 
     min h * lambda @ |U| subject to Phi @ U == -c and |U| <= 1; the h
     factor makes the optimal value approximate the continuous-time fuel
-    integral.  ``weights`` holds one weight per channel.
+    integral.  ``weights`` holds one weight per channel; bad weights raise
+    the typed errors of ``validate_weights``.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (dp.m,):
-        raise DimensionMismatch(
-            f"weights have shape {weights.shape}, plant has {dp.m} channels")
+    weights = validate_weights(weights, dp.m)
     return L1Program(M=dp.Phi, b=-dp.c, w=dp.h * np.tile(weights, dp.N))
 
 
@@ -228,7 +245,8 @@ class _L1Solve:
     """Outcome of the column-generation loop.
 
     ``lp`` is the program of the last round and ``cols`` its columns in
-    the full program, None when it is the full program itself.
+    the full program, None when it is the full program itself and empty
+    when it is the coarse program.
     """
 
     status: SolveStatus
@@ -240,74 +258,114 @@ class _L1Solve:
     iterations: int
 
 
-def _initial_columns(m: int, N: int) -> np.ndarray | None:
+def _initial_columns(m: int, N: int) -> np.ndarray:
     """Every r-th slot with all its channels, and the last slot.
 
-    r = ceil(m N / _WORKING_SET); None when r = 1, i.e. every column.
+    r = ceil(m N / _WORKING_SET); the working set when the coarse round
+    gives none.
     """
     r = -(-m * N // _WORKING_SET)
-    if r == 1:
-        return None
     slots = np.union1d(np.arange(0, N, r), [N - 1])
     return (slots[:, None] * m + np.arange(m)).ravel()
+
+
+def _coarse_program(lp: L1Program, m: int, N: int) -> tuple[L1Program, int]:
+    """``lp`` with each channel held over r consecutive slots, and r.
+
+    r = ceil(m N / _COARSE).  Column (q, i) and its weight are the sums
+    of channel i's columns and weights over slots q r .. q r + r - 1 (the
+    last block may be shorter), so a coarse control held on its slots is
+    a fine control with the same fuel and the same terminal state.
+    """
+    r = -(-m * N // _COARSE)
+    n = lp.M.shape[0]
+    starts = np.arange(0, N, r)
+    M = np.add.reduceat(lp.M.reshape(n, N, m), starts, axis=1).reshape(n, -1)
+    w = np.add.reduceat(lp.w.reshape(N, m), starts).ravel()
+    return L1Program(M, lp.b, w), r
+
+
+def _block_columns(blocks: np.ndarray, m: int, N: int, r: int) -> np.ndarray:
+    """The fine columns of coarse columns ``blocks`` of ``_coarse_program``."""
+    q, i = np.divmod(blocks, m)
+    slots = q[:, None] * r + np.arange(r)
+    return (slots * m + i[:, None])[slots < N]
+
+
+def _best(score: np.ndarray) -> np.ndarray:
+    """The columns of positive score, at most ``_WORKING_SET`` of the highest."""
+    new = np.flatnonzero(score > 0.0)
+    if new.size > _WORKING_SET:
+        new = new[np.argpartition(score[new], -_WORKING_SET)[-_WORKING_SET:]]
+    return new
 
 
 def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solve:
     """Solve ``lp`` on a working set of columns priced by the dead-zone law.
 
-    See the module docstring.  After an optimal round that adds columns,
+    See the module docstring.  The coarse control's support is its entries
+    above ``_HELD``; a coarse round that leaves the first working set
+    empty, a zero control with nothing priced in, also falls back to
+    ``_initial_columns``.  After a fine optimal round that adds columns,
     those with |Phi_j^T y| <= (1 - ``_DEEP``) w_j leave the set, each at
     most once; the round's support is on the dead-zone edge and stays.
-    An optimal status always carries
-    P - D <= opt_tol * (1 + |P|) with D priced over every column; when
-    pricing finds nothing while the gap is open, the restricted tolerance
-    is cut 10x, at most ``_TIGHTENINGS`` times, before the loop gives up
-    with a numerical failure.
+    An optimal status always carries P - D <= opt_tol * (1 + |P|) with D
+    priced over every column; when pricing finds nothing while the gap is
+    open, the restricted tolerance is cut 10x, at most ``_TIGHTENINGS``
+    times, before the loop gives up with a numerical failure.
     """
     K = lp.M.shape[1]
-    cols = _initial_columns(m, N)
+    if K <= _WORKING_SET:
+        ip = solve_ip(lp, tol=opt_tol)
+        return _L1Solve(ip.status, ip, lp, None, ip.dual_objective, 1, ip.iterations)
+    sub, r = _coarse_program(lp, m, N)
+    cols = np.empty(0, dtype=np.intp)  # the working set; empty in the coarse round
     left = np.zeros(K, dtype=bool)  # columns that have left the set once
     tol = opt_tol
     tightenings = rounds = iterations = 0
     while True:
-        sub = lp if cols is None else L1Program(lp.M[:, cols], lp.b, lp.w[cols])
         ip = solve_ip(sub, tol=tol)
         rounds += 1
         iterations += ip.iterations
         status, dual = ip.status, ip.dual_objective
-        if cols is None:
-            break
+        coarse = cols.size == 0
         outside = np.ones(K, dtype=bool)
         outside[cols] = False
         if status is SolveStatus.OPTIMAL:
             reduced = np.abs(lp.M.T @ ip.y) - lp.w
             dual = float(lp.b @ ip.y - np.maximum(reduced, 0.0).sum())
-            if ip.objective - dual <= opt_tol * (1.0 + abs(ip.objective)):
+            if not coarse and ip.objective - dual <= opt_tol * (1.0 + abs(ip.objective)):
                 break
             with np.errstate(divide="ignore", invalid="ignore"):
-                score = np.where(outside & (reduced > 0.0), reduced / lp.w, 0.0)
+                new = _best(np.where(outside & (reduced > 0.0), reduced / lp.w, 0.0))
         elif status is SolveStatus.INFEASIBLE:
             reach = np.abs(lp.M.T @ ip.farkas_y)
             if float(lp.b @ ip.farkas_y) > float(reach.sum()):
                 break
-            score = np.where(outside, reach, 0.0)
+            new = _best(np.where(outside, reach, 0.0))
+        elif coarse:
+            new = _initial_columns(m, N)
         else:
             break
-        new = np.flatnonzero(score > 0.0)
-        if new.size == 0:
+        if coarse:
+            if status is SolveStatus.OPTIMAL:
+                held = np.flatnonzero(np.abs(ip.x) > _HELD)
+                new = np.union1d(new, _block_columns(held, m, N, r))
+            cols = new if new.size else _initial_columns(m, N)
+        elif new.size == 0:
             if tightenings == _TIGHTENINGS:
                 status = SolveStatus.NUMERICAL_FAILURE
                 break
             tightenings += 1
             tol /= 10.0
             continue
-        if new.size > _WORKING_SET:
-            new = new[np.argpartition(score[new], -_WORKING_SET)[-_WORKING_SET:]]
-        if status is SolveStatus.OPTIMAL:
-            deep = (reduced[cols] <= -_DEEP * lp.w[cols]) & ~left[cols]
-            left[cols[deep]] = True
-            cols = cols[~deep]
-        cols = np.union1d(cols, new)
+        else:
+            if status is SolveStatus.OPTIMAL:
+                deep = (reduced[cols] <= -_DEEP * lp.w[cols]) & ~left[cols]
+                left[cols[deep]] = True
+                cols = cols[~deep]
+            cols = np.union1d(cols, new)
+        sub = L1Program(lp.M[:, cols], lp.b, lp.w[cols])
     return _L1Solve(status, ip, sub, cols, dual, rounds, iterations)
 
 
@@ -350,10 +408,10 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
             pricing_rounds=sol.rounds if sol else 0,
         )
 
+    lp = build_lp(dp, weights)
     if slack < 0:
         return failure(SolveStatus.INFEASIBLE)
 
-    lp = build_lp(dp, weights)
     sol = _column_generation(lp, m, N, options.opt_tol)
     if sol.status is not SolveStatus.OPTIMAL:
         return failure(sol.status, sol)

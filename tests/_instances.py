@@ -133,3 +133,29 @@ def certified_rest_to_rest_fuel(T, N):
             assert abs(price[j]) <= 1.0 + 1e-12
     assert abs(u.sum()) <= 1e-12 and abs(u @ a - (-M)) <= 1e-9 * M
     return h * float(np.abs(u).sum()), u
+
+
+def column_generation_draws():
+    """The column-generation sweep: (name, problem) for 235 seeded draws.
+
+    Each draw takes n in 1..8 and m in 1..2, then a horizon, then
+    ``feasible_problem`` at T in [0.5, 2) with a witness scale in
+    [0.3, 0.95).  ``r11_i`` are the draws of ``default_rng(11)``, whose
+    horizon is past 2048 / m with probability 0.4 and otherwise in
+    20..999; of its 120 draws only the 55 with m N > 2048 are yielded.
+    ``r7_i``, ``r12_i`` and ``r13_i`` are 40, 70 and 70 draws of
+    ``default_rng(7)``, ``(12)`` and ``(13)`` with the horizon always
+    past 2048 / m.  Every yielded problem is past the working set, so
+    ``solve`` takes it through column generation.
+    """
+    for seed, draws in ((11, 120), (7, 40), (12, 70), (13, 70)):
+        rng = np.random.default_rng(seed)
+        for i in range(draws):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+            large = seed != 11 or rng.random() < 0.4
+            N = int(rng.integers(2049 // m + 1, 20000 // m) if large
+                    else rng.integers(20, 1000))
+            problem = feasible_problem(rng, n, m, N, T=float(rng.uniform(0.5, 2.0)),
+                                       witness_scale=float(rng.uniform(0.3, 0.95)))
+            if m * N > 2048:
+                yield f"r{seed}_{i}", problem

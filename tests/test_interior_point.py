@@ -198,6 +198,31 @@ def test_endgame_exit_returns_the_kept_iterate(exit, monkeypatch):
     assert max(residuals) <= tol
 
 
+def test_endgame_steps_on_to_a_vertex(monkeypatch):
+    # a whole program (n=3, m=2, N=467) whose stop first holds with 18
+    # entries fractional: the endgame steps on to at most n of them, and
+    # the status, the stop and the fuel to the tolerance stay
+    rng = np.random.default_rng(98)
+    n, m, N = int(rng.integers(2, 6)), int(rng.integers(1, 3)), int(rng.integers(100, 600))
+    problem = feasible_problem(rng, n, m, N, T=float(rng.uniform(0.5, 2.0)))
+    lp = build_lp(build_reachability(problem), problem.weights)
+    tol = 1e-8
+
+    def fractional(v):
+        return int(np.count_nonzero((np.abs(v) > 1e-6) & (np.abs(v) < 1.0 - 1e-6)))
+
+    with monkeypatch.context() as patch:
+        # no entry is inside an empty band, so the gap alone ends the solve
+        patch.setattr(interior_point, "_BAND", 0.5)
+        first = solve_ip(lp, tol=tol)
+    res = solve_ip(lp, tol=tol)
+    assert first.status is res.status is SolveStatus.OPTIMAL
+    assert fractional(first.x) > n >= fractional(res.x)
+    assert res.iterations > first.iterations
+    assert max(res.primal_residual, res.dual_residual, res.gap_residual) <= tol
+    assert res.objective == pytest.approx(first.objective, rel=tol)
+
+
 def assert_solves_kkt(G, theta, r1, r2):
     """(dx, dy) must satisfy [G, -G] dx = r2 and dx = theta ([G, -G]^T dy - r1),
     each to 1e-10 relative to the size of the terms it sums."""

@@ -10,12 +10,14 @@ from handsoff import (
     ControlProblem,
     ControlSignal,
     DimensionMismatch,
+    HandsOffError,
     NonpositiveWeight,
     PlantModel,
     SolveStatus,
     SolverOptions,
     build_lp,
     build_reachability,
+    feasibility_radius,
     polish_to_vertex,
     recompute_objective,
     solve,
@@ -25,9 +27,11 @@ from handsoff import (
 
 from _instances import (
     certified_rest_to_rest_fuel,
+    column_generation_draws,
     double_integrator,
     feasible_problem,
     scalar_integrator,
+    stable_plant,
     twin_channel_problem,
 )
 
@@ -346,10 +350,10 @@ def _crossover_case(seed, n, m, N):
 # at_vertex: the interior point ends on a vertex to the sparsity
 # threshold, so the crossover finds at most n fractional entries, pins
 # none, and the support is the interior point's.  The others still take
-# steps: seed 85's last round meets its fuel-relative gap with eleven entries
-# between 1e-6 and 2e-5 of their levels, seed 152's column-generation solve
-# leaves the crossover a long run of pins, and the twin plant's optimal
-# face is not a vertex, since its two channels share one column.
+# steps: the last rounds of seeds 174 and 152 stop the endgame with more
+# than n entries fractional, as its next step does not halve the gap, and
+# leave the crossover a run of pins, and the twin plant's optimal face is
+# not a vertex, since its two channels share one column.
 @pytest.mark.parametrize("make, working_set, at_vertex", [
     pytest.param(lambda: _crossover_case(51, 3, 2, 700), None, True,
                  id="51-3-2-700-None"),
@@ -357,8 +361,8 @@ def _crossover_case(seed, n, m, N):
                  id="52-4-1-1500-None"),
     pytest.param(lambda: _crossover_case(56, 5, 2, 2500), None, True,
                  id="56-5-2-2500-None"),
-    pytest.param(lambda: _crossover_case(85, 2, 2, 300), 16, False,
-                 id="85-2-2-300-16"),
+    pytest.param(lambda: _crossover_case(174, 3, 2, 2000), None, False,
+                 id="174-3-2-2000-None"),
     pytest.param(lambda: _crossover_case(71, 2, 2, 300), 16, True,
                  id="71-2-2-300-16"),
     pytest.param(lambda: _crossover_case(152, 5, 1, 3000), None, False,
@@ -457,14 +461,26 @@ def test_column_generation_certifies_infeasibility():
     assert report.pricing_rounds >= 1
 
 
-@pytest.mark.parametrize("seed", [41, 42, 43])
-def test_small_working_set_forces_pricing_rounds(seed, monkeypatch):
+def _small_working_set(monkeypatch):
+    # 16 columns a round, opened by a coarse program of 8 columns, so that
+    # programs of a few hundred columns take several fine pricing rounds;
+    # a coarse program of 256 would be the whole program
     import handsoff.solver
 
     monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+    monkeypatch.setattr(handsoff.solver, "_COARSE", 8)
+
+
+def _small_draw(seed):
     rng = np.random.default_rng(seed)
-    problem = feasible_problem(rng, int(rng.integers(2, 4)), int(rng.integers(1, 3)),
-                               int(rng.integers(60, 120)), T=float(rng.uniform(1.0, 4.0)))
+    return feasible_problem(rng, int(rng.integers(2, 4)), int(rng.integers(1, 3)),
+                            int(rng.integers(60, 120)), T=float(rng.uniform(1.0, 4.0)))
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_small_working_set_forces_pricing_rounds(seed, monkeypatch):
+    _small_working_set(monkeypatch)
+    problem = _small_draw(seed)
     report = solve(problem)
     ref = fuel_reference(problem)
     assert report.status is SolveStatus.OPTIMAL
@@ -498,15 +514,20 @@ def _full_columns(Phi, sub):
     return np.array([index[col.tobytes()] for col in sub.M.T])
 
 
+def _draw(name):
+    return next(problem for key, problem in column_generation_draws() if key == name)
+
+
 def test_pruning_keeps_the_dead_zone_edge(monkeypatch):
-    # the first solve_large draw: of round 1's 2002 columns, round 2 keeps
-    # only those at the edge of round 1's dead zone, round 1's support
-    # among them, and the priced bracket still closes on HiGHS
-    problem = feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0)
+    # sweep draw r13_66 (n=4, m=2, N=1097) takes two fine rounds after the
+    # coarse one: of the first fine round's columns, the second keeps only
+    # those at the edge of the first's dead zone, the first's support among
+    # them, and the priced bracket still closes on HiGHS
+    problem = _draw("r13_66")
     rounds = _recorded_rounds(monkeypatch)
     report = solve(problem)
     assert report.status is SolveStatus.OPTIMAL
-    (lp1, res1), (lp2, _) = rounds[:2]
+    (lp1, res1), (lp2, _) = rounds[1:3]
     assert res1.status is SolveStatus.OPTIMAL
     assert lp2.M.shape[1] < lp1.M.shape[1]
     Phi = build_reachability(problem).Phi
@@ -518,17 +539,13 @@ def test_pruning_keeps_the_dead_zone_edge(monkeypatch):
     _bracket_holds(report, fuel_reference(problem).fun)
 
 
-@pytest.mark.parametrize("seed", [41, 42, 43, 58])
+@pytest.mark.parametrize("seed", [43, 55, 56, 58])
 def test_pruned_rounds_never_raise_the_primal(seed, monkeypatch):
-    # each optimal round keeps the last one's support, so its restricted
-    # primal cannot rise, and a column leaves the working set at most once;
-    # in seed 58 five columns come back and would leave a second time
-    import handsoff.solver
-
-    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
-    rng = np.random.default_rng(seed)
-    problem = feasible_problem(rng, int(rng.integers(2, 4)), int(rng.integers(1, 3)),
-                               int(rng.integers(60, 120)), T=float(rng.uniform(1.0, 4.0)))
+    # each optimal round keeps the last one's support, the first fine round
+    # the coarse round's, so its restricted primal cannot rise, and a column
+    # leaves the working set at most once; each seed prunes between fine rounds
+    _small_working_set(monkeypatch)
+    problem = _small_draw(seed)
     rounds = _recorded_rounds(monkeypatch)
     report = solve(problem)
     assert report.status is SolveStatus.OPTIMAL and len(rounds) > 1
@@ -536,21 +553,30 @@ def test_pruned_rounds_never_raise_the_primal(seed, monkeypatch):
     P = [res.objective for _, res in rounds if res.status is SolveStatus.OPTIMAL]
     assert all(b <= a + tol * (1.0 + abs(a)) for a, b in zip(P, P[1:]))
     Phi = build_reachability(problem).Phi
-    sets = [set(_full_columns(Phi, lp).tolist()) for lp, _ in rounds]
+    sets = [set(_full_columns(Phi, lp).tolist()) for lp, _ in rounds[1:]]
     left = [j for a, b in zip(sets, sets[1:]) for j in a - b]
     assert left and len(left) == len(set(left))
 
 
-def test_infeasible_restriction_grows_the_working_set(monkeypatch):
-    # the first working set cannot reach the target, and its Farkas ray
-    # does not certify the full program: its columns join instead
-    import handsoff.solver
+def _edge_problem(rng, n, N, T):
+    # one channel, with the target 1 % inside a vertex of the reachable set,
+    # the image of the bang-bang control sign(Phi^T g): held controls fall
+    # short of it
+    plant = stable_plant(rng, n, 1)
+    dp = build_reachability(ControlProblem(plant=plant, x0=np.zeros(n), T=T, N=N))
+    U = 0.99 * np.sign(dp.Phi.T @ rng.normal(size=n))
+    x0 = -np.linalg.solve(np.linalg.matrix_power(dp.Ad, N), dp.Phi @ U)
+    return ControlProblem(plant=plant, x0=x0, T=T, N=N)
 
-    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+
+def test_infeasible_restriction_grows_the_working_set(monkeypatch):
+    # the coarse program cannot reach the target, and its Farkas ray does
+    # not certify the full program: the columns it reaches furthest join
+    _small_working_set(monkeypatch)
     rounds = _recorded_rounds(monkeypatch)
-    rng = np.random.default_rng(64)
-    problem = feasible_problem(rng, int(rng.integers(2, 4)), 1, int(rng.integers(60, 120)),
-                               T=float(rng.uniform(1.0, 4.0)), witness_scale=0.9)
+    rng = np.random.default_rng(61)
+    problem = _edge_problem(rng, int(rng.integers(2, 4)), int(rng.integers(60, 120)),
+                            T=float(rng.uniform(1.0, 4.0)))
     report = solve(problem)
     assert rounds[0][1].status is SolveStatus.INFEASIBLE
     assert report.status is SolveStatus.OPTIMAL
@@ -558,9 +584,7 @@ def test_infeasible_restriction_grows_the_working_set(monkeypatch):
 
 
 def test_small_working_set_infeasible(monkeypatch):
-    import handsoff.solver
-
-    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+    _small_working_set(monkeypatch)
     report = solve(double_integrator([-3.3, 1.9], 2.0, 200))
     assert report.feasibility_slack >= 0
     assert report.status is SolveStatus.INFEASIBLE
@@ -568,17 +592,18 @@ def test_small_working_set_infeasible(monkeypatch):
 
 def test_open_gap_is_never_reported_optimal(monkeypatch):
     # a restricted solve whose primal value sits above every dual bound:
-    # pricing adds columns until it finds none, the tolerance is cut twice,
-    # and the loop gives up instead of claiming optimality.  A bias of 1.0
-    # dwarfs the fuel; one of 1e-6 leaves the gap open by only 100 times
-    # the stop's bound, after three rounds of real pricing
+    # the coarse round opens, pricing adds columns until it finds none, the
+    # tolerance is cut twice, and the loop gives up instead of claiming
+    # optimality.  A bias of 1.0 dwarfs the fuel; one of 1e-6 leaves the gap
+    # open by only 100 times the stop's bound, after four fine rounds of
+    # real pricing
     import handsoff.solver
 
-    monkeypatch.setattr(handsoff.solver, "_WORKING_SET", 16)
+    _small_working_set(monkeypatch)
     original = handsoff.solver.solve_ip
     for bias, problem, untightened in [
             (1.0, feasible_problem(np.random.default_rng(44), 2, 1, 80, T=2.0), 2),
-            (1e-6, _crossover_case(71, 2, 2, 300), 3)]:
+            (1e-6, _small_draw(43), 5)]:
         tols = []
 
         def biased(lp, tol=1e-8, bias=bias, **kwargs):
@@ -653,3 +678,117 @@ def test_solve_discretized_peak_memory_large_horizon():
     assert report.status is SolveStatus.OPTIMAL
     assert report.pricing_rounds > 1
     assert peak <= 3.0 * dp.Phi.nbytes
+
+
+def test_coarse_program_holds_each_channel_over_r_slots():
+    # with N = 128 r the coarse program is the reachability program of the
+    # same problem on 128 slots of r h, weighted r h lambda; with a shorter
+    # last block, any coarse control held on its slots is a fine control
+    # with the same terminal state and fuel
+    import handsoff.solver
+
+    base = feasible_problem(np.random.default_rng(808), 4, 2, 2560, T=1.0)
+    problem = dataclasses.replace(base, weights=[0.5, 2.0])
+    dp = build_reachability(problem)
+    lp = build_lp(dp, problem.weights)
+    coarse, r = handsoff.solver._coarse_program(lp, 2, 2560)
+    assert r == 20
+    grid = build_reachability(dataclasses.replace(problem, N=128))
+    assert np.abs(coarse.M - grid.Phi).max() <= 1e-12 * np.abs(grid.Phi).max()
+    assert np.allclose(coarse.w, np.tile(r * dp.h * problem.weights, 128), rtol=1e-12, atol=0)
+    assert np.array_equal(coarse.b, lp.b)
+
+    dp = build_reachability(dataclasses.replace(problem, N=2510))
+    lp = build_lp(dp, problem.weights)
+    coarse, r = handsoff.solver._coarse_program(lp, 2, 2510)
+    assert r == 20 and coarse.M.shape[1] == 2 * 126  # the last block holds 10 slots
+    v = np.random.default_rng(1).uniform(-1.0, 1.0, coarse.M.shape[1])
+    U = v.reshape(-1, 2)[np.arange(2510) // r].ravel()
+    assert np.allclose(lp.M @ U, coarse.M @ v, rtol=0, atol=1e-12 * np.abs(lp.M).sum())
+    assert lp.w @ np.abs(U) == pytest.approx(coarse.w @ np.abs(v), rel=1e-12)
+
+
+def test_first_fine_round_holds_the_coarse_support(monkeypatch):
+    # the first fine round holds every fine column of each coarse block the
+    # coarse control uses, so the coarse control stays feasible in it
+    import handsoff.solver
+
+    problem = feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0)
+    rounds = _recorded_rounds(monkeypatch)
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL
+    (coarse, res), (lp1, _) = rounds[:2]
+    assert coarse.M.shape[1] <= handsoff.solver._COARSE
+    assert res.status is SolveStatus.OPTIMAL
+    dp = build_reachability(problem)
+    r = -(-dp.m * dp.N // handsoff.solver._COARSE)
+    held = np.flatnonzero(np.abs(res.x) > 1e-9)
+    slots = (held // dp.m)[:, None] * r + np.arange(r)
+    fine = (slots * dp.m + (held % dp.m)[:, None])[slots < dp.N]
+    assert held.size and np.isin(fine, _full_columns(dp.Phi, lp1)).all()
+
+
+@pytest.mark.parametrize("status", [SolveStatus.ITERATION_LIMIT, SolveStatus.NUMERICAL_FAILURE])
+def test_failed_coarse_round_falls_back_to_every_rth_slot(status, monkeypatch):
+    # a coarse round without a verdict leaves the first fine round to every
+    # r-th slot with all its channels and the last slot, r = ceil(m N / 2048);
+    # the loop runs on from there, and the failed round counts as a round
+    import handsoff.solver
+
+    original = handsoff.solver.solve_ip
+    rounds = []
+
+    def failing_first(lp, *args, **kwargs):
+        if not rounds:
+            nan = float("nan")
+            res = handsoff.solver.IPResult(status, None, None, nan, nan, nan, nan, nan, 200)
+        else:
+            res = original(lp, *args, **kwargs)
+        rounds.append((lp, res))
+        return res
+
+    monkeypatch.setattr(handsoff.solver, "solve_ip", failing_first)
+    problem = feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0)
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL
+    dp = build_reachability(problem)
+    slots = np.union1d(np.arange(0, 5000, 5), [4999])
+    first = (slots[:, None] * 2 + np.arange(2)).ravel()
+    assert np.array_equal(_full_columns(dp.Phi, rounds[1][0]), first)
+    assert report.pricing_rounds == len(rounds) > 2
+    assert report.iterations == sum(res.iterations for _, res in rounds)
+    _bracket_holds(report, fuel_reference(problem).fun)
+
+
+def test_long_crossover_draw_now_ends_on_the_vertex():
+    # sweep draw r11_35 (n=4, m=1, N=16556): its last round of 3345 columns
+    # left the crossover 1131 pins; from the coarse round the last round
+    # is far smaller and the endgame stops only on a vertex
+    problem = _draw("r11_35")
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL and report.polish_applied
+    assert report.polish_rounds <= 4
+    _bracket_holds(report, fuel_reference(problem).fun)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_solve_discretized_rejects_bad_weights(bad):
+    # the typed error a ControlProblem raises for the same weight, also on
+    # a program the precheck finds infeasible
+    for x0 in ([1.0, 0.0], [0.0, 5.0]):
+        problem = double_integrator(x0, 2.0, 100)
+        assert (feasibility_radius(build_reachability(problem)) < 0) == (x0[1] == 5.0)
+        with pytest.raises(HandsOffError) as expected:
+            dataclasses.replace(problem, weights=[bad])
+        with pytest.raises(expected.type):
+            solve_discretized(build_reachability(problem), np.array([bad]))
+
+
+def test_zero_state_column_generation_falls_back_to_every_rth_slot(monkeypatch):
+    # the coarse control is zero and prices nothing in, so the first fine
+    # round is every second slot and the last
+    rounds = _recorded_rounds(monkeypatch)
+    report = solve(scalar_integrator(0.0, 1.0, 3000))
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.objective == pytest.approx(0.0, abs=1e-9)
+    assert [lp.M.shape[1] for lp, _ in rounds] == [250, 1501]
