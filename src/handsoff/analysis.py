@@ -324,23 +324,21 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
 def verify_equivalence(problem: ControlProblem,
                        options: SolverOptions = SolverOptions(),
                        ) -> tuple[EquivalenceReport, SolveReport]:
-    """Solve, run the exhaustive oracle, and compare support cardinalities.
+    """Run the exhaustive oracle, solve, and compare support cardinalities.
 
+    The oracle runs first, so an instance past ``EXHAUSTIVE_BOUND`` or
+    with no feasible control raises its typed error before any solve.
     The verdict is cardinality equality plus membership of the reported
     support in the minimal-cardinality feasible family; solution identity
     is deliberately not compared since ties are common.  Returns the
     report pair (equivalence, solve).
     """
-    K = problem.plant.m * int(problem.N)
-    if K > EXHAUSTIVE_BOUND:
-        raise ExhaustiveBoundExceeded(
-            f"m*N = {K} exceeds the exhaustive enumeration bound of {EXHAUSTIVE_BOUND}")
     dp = build_reachability(problem)
+    oracle = l0_oracle(dp, weights=problem.weights, options=options)
     report = solve_discretized(dp, problem.weights, options)
     if report.status is not SolveStatus.OPTIMAL:
         raise HandsOffError(
             f"equivalence check needs an optimal solve, got {report.status.value}")
-    oracle = l0_oracle(dp, weights=problem.weights, options=options)
 
     thr = options.sparsity_threshold
     support_set = tuple(np.flatnonzero(np.abs(report.signal.U) > thr).tolist())

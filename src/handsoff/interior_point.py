@@ -117,7 +117,6 @@ class IPResult:
     x: np.ndarray | None          # the signed v
     y: np.ndarray | None          # equality duals
     objective: float
-    dual_objective: float
     primal_residual: float
     dual_residual: float
     gap_residual: float
@@ -228,12 +227,10 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
         if status is SolveStatus.OPTIMAL:
             v = (x[0] - x[1]) / tau
             y = cscale * (ye / row_scale) / tau
-            dobj = cscale * (beq @ ye - w.sum()) / tau
-            return IPResult(status, v, y, float(lp.w @ np.abs(v)), float(dobj),
-                            rho_p, rho_d, rho_A, it)
+            return IPResult(status, v, y, float(lp.w @ np.abs(v)), rho_p, rho_d, rho_A, it)
         farkas = ye / row_scale if status is SolveStatus.INFEASIBLE else None
-        return IPResult(status, None, None, float("nan"), float("nan"),
-                        rho_p, rho_d, rho_A, it, farkas_y=farkas)
+        return IPResult(status, None, None, float("nan"), rho_p, rho_d, rho_A, it,
+                        farkas_y=farkas)
 
     # the last iterate that met the stop, kept while the endgame steps on
     kept, kept_rel = None, 0.0

@@ -12,41 +12,42 @@ the discrete bang-off-bang control.
 
 The optimum touches few columns of Phi: by the maximum principle a slot
 is active only where the costate clears the dead zone,
-|Phi_j^T y| >= h lambda_j.  A program with more than ``_WORKING_SET``
-columns is therefore solved by column generation (Desrosiers & Lubbecke,
-"A Primer in Column Generation", 2005).  Each round solves the program
-restricted to a working set and prices every column with one Phi^T y:
-the reduced cost |Phi_j^T y| - w_j is the dead-zone law, and
+|Phi_j^T y| >= h lambda_j.  Every program is therefore solved by column
+generation (Desrosiers & Lubbecke, "A Primer in Column Generation",
+2005).  Each round solves the program restricted to a working set and
+prices every column with one Phi^T y: the reduced cost |Phi_j^T y| - w_j
+is the dead-zone law, and
     D = b @ y - sum_j (|Phi_j^T y| - w_j)_+
-over all columns bounds the full optimum from below for any y.
+over all columns bounds the full optimum from below for any y.  A
+program of at most ``_WORKING_SET`` columns is its own working set: its
+one round prices D and settles it.
 
-Round 1 is the coarse program: the same plant with each channel held
-over r = ceil(m N / ``_COARSE``) consecutive slots, whose columns and
-weights are sums of r fine ones, the program on a grid r times coarser
-(mesh refinement, as in direct transcription; Betts, "Practical Methods
-for Optimal Control", 2010, ch. 4).  The costate belongs to the
-continuous problem, so the coarse y prices the fine columns nearly as
-the fine optimum's would.  A held coarse control is a fine control of
-the same fuel, but no fine vertex, so the coarse round never ends the
-loop as optimal.  The first working set is every fine column of the
-coarse blocks that its control uses, which keeps it feasible, and the
-priced columns.  A coarse round that ends without a verdict falls back
-to every r-th slot, r = ceil(m N / ``_WORKING_SET``), with all its
-channels and the last slot.
+On a larger program round 1 is the coarse program: the same plant with
+each channel held over r = ceil(m N / ``_COARSE``) consecutive slots,
+whose columns and weights are sums of r fine ones, the program on a grid
+r times coarser (mesh refinement, as in direct transcription; Betts,
+"Practical Methods for Optimal Control", 2010, ch. 4).  The costate
+belongs to the continuous problem, so the coarse y prices the fine
+columns nearly as the fine optimum's would.  A held coarse control is a
+fine control of the same fuel, but no fine vertex, so the coarse round
+never ends the loop as optimal.  The first working set is every fine
+column of the coarse blocks that its control uses, which keeps it
+feasible, and the priced columns.  A coarse round that ends without a
+verdict falls back to every r-th slot, r = ceil(m N / ``_WORKING_SET``),
+with all its channels and the last slot.
 
 From then on the loop stops once the restricted primal P, which is
 feasible for the full program, is within ``opt_tol * (1 + |P|)`` of D;
 otherwise the columns with the largest relative reduced cost, at most
 ``_WORKING_SET``, join the set, and the columns deep in the round's dead
 zone, reduced cost <= -``_DEEP`` w_j, leave it.  A column leaves at most
-once, so the loop still ends.  An infeasible round, coarse or fine,
-prunes nothing; its Farkas ray certifies the full program when
-b @ y > sum_j |Phi_j^T y| over all columns; otherwise the columns with
-the largest |Phi_j^T y| join.  The crossover runs on the last round's
-program.  On this path the reported ``lp_objective`` and
-``dual_objective`` are P and D.  Up to ``_WORKING_SET`` columns the one
-round is the full program with nothing to price, and the pair is the
-interior point's own certified primal/dual values.
+once, so the loop still ends.  When pricing finds no column while the
+gap is open, the loop ends with a numerical failure.  An infeasible
+round, coarse or fine, prunes nothing; its Farkas ray certifies the full
+program when b @ y > sum_j |Phi_j^T y| over all columns; otherwise the
+columns with the largest |Phi_j^T y| join.  The crossover runs on the
+last round's program.  The reported ``lp_objective`` and
+``dual_objective`` are P and D.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ _ACCEPT = 1e-7
 # A null direction whose fuel slope is below this fraction of its
 # absolute fuel weight is flat: its sign is roundoff, not a fuel change.
 _FLAT = 1e-12
-# The most columns one pricing round adds; a program this small is
-# solved whole.
+# The most columns one pricing round adds; a program this small is its
+# own working set.
 _WORKING_SET = 2048
 # Column count of the coarse program that opens column generation.
 _COARSE = 256
@@ -76,9 +77,6 @@ _HELD = 1e-9
 # A column leaves the working set once an optimal round's costate puts it
 # this deep in the dead zone: |Phi_j^T y| <= (1 - _DEEP) w_j.
 _DEEP = 0.01
-# Times the restricted tolerance is cut 10x when pricing finds no column
-# but the gap is still open.
-_TIGHTENINGS = 2
 # How far a control may leave the box |u| <= 1 and still be clipped to it
 # rather than rejected; the interior point stays inside to roundoff.
 _OVERSHOOT = 1e-9
@@ -100,10 +98,8 @@ class SolveReport:
 
     ``objective`` is recomputed from the returned signal; ``lp_objective``
     and ``dual_objective`` bracket the true optimum regardless of what
-    the crossover did afterwards.  On a program solved whole they are the
-    primal/dual values certified by the interior-point termination; under
-    column generation they are the restricted primal P, feasible for the
-    full program, and the dual value D priced over every column.  The
+    the crossover did afterwards: the restricted primal P, feasible for
+    the full program, and the dual value D priced over every column.  The
     three residuals are the last round's relative interior-point
     residuals; ``primal_residual`` covers the equality rows only, since
     the interior point keeps its bound rows exactly.
@@ -111,8 +107,7 @@ class SolveReport:
     control above the sparsity threshold, before the crossover.
     ``iterations`` sums the interior-point iterations of every round,
     the endgame steps of ``solve_ip`` included, and ``pricing_rounds``
-    counts the rounds (``solve_ip`` calls), under column generation the
-    coarse round included.
+    counts the rounds (``solve_ip`` calls), the coarse round included.
     """
 
     status: SolveStatus
@@ -245,8 +240,7 @@ class _L1Solve:
     """Outcome of the column-generation loop.
 
     ``lp`` is the program of the last round and ``cols`` its columns in
-    the full program, None when it is the full program itself and empty
-    when it is the coarse program.
+    the full program, empty when it is the coarse program.
     """
 
     status: SolveStatus
@@ -311,23 +305,20 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     most once; the round's support is on the dead-zone edge and stays.
     An optimal status always carries P - D <= opt_tol * (1 + |P|) with D
     priced over every column; when pricing finds nothing while the gap is
-    open, the restricted tolerance is cut 10x, at most ``_TIGHTENINGS``
-    times, before the loop gives up with a numerical failure.
+    open, the loop gives up with a numerical failure.
     """
     K = lp.M.shape[1]
-    if K <= _WORKING_SET:
-        ip = solve_ip(lp, tol=opt_tol)
-        return _L1Solve(ip.status, ip, lp, None, ip.dual_objective, 1, ip.iterations)
-    sub, r = _coarse_program(lp, m, N)
-    cols = np.empty(0, dtype=np.intp)  # the working set; empty in the coarse round
+    sub, cols = lp, np.arange(K)  # a program this small is its own working set
+    if K > _WORKING_SET:
+        sub, r = _coarse_program(lp, m, N)
+        cols = np.empty(0, dtype=np.intp)  # empty in the coarse round
     left = np.zeros(K, dtype=bool)  # columns that have left the set once
-    tol = opt_tol
-    tightenings = rounds = iterations = 0
+    rounds = iterations = 0
     while True:
-        ip = solve_ip(sub, tol=tol)
+        ip = solve_ip(sub, tol=opt_tol)
         rounds += 1
         iterations += ip.iterations
-        status, dual = ip.status, ip.dual_objective
+        status, dual = ip.status, float("nan")
         coarse = cols.size == 0
         outside = np.ones(K, dtype=bool)
         outside[cols] = False
@@ -353,12 +344,8 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
                 new = np.union1d(new, _block_columns(held, m, N, r))
             cols = new if new.size else _initial_columns(m, N)
         elif new.size == 0:
-            if tightenings == _TIGHTENINGS:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-            tightenings += 1
-            tol /= 10.0
-            continue
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
         else:
             if status is SolveStatus.OPTIMAL:
                 deep = (reduced[cols] <= -_DEEP * lp.w[cols]) & ~left[cols]
@@ -426,13 +413,12 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
 
     rounds = 0
     applied = False
-    U_final = U_raw
+    U_sub = U_raw
     if options.polish:
-        U_final, applied, rounds = polish_to_vertex(
+        U_sub, applied, rounds = polish_to_vertex(
             sol.lp, U_raw, options, rhs_scale=x0_norm)
-    if sol.cols is not None:
-        U_final, U_sub = np.zeros(m * N), U_final
-        U_final[sol.cols] = U_sub
+    U_final = np.zeros(m * N)
+    U_final[sol.cols] = U_sub
 
     terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U_final))
     objective = float(lp.w @ np.abs(U_final))

@@ -20,6 +20,15 @@ def stable_plant(rng: np.random.Generator, n: int, m: int) -> PlantModel:
     return PlantModel(A=A, B=B)
 
 
+def priced_dual(lp, y) -> float:
+    """The dead-zone bound D = b @ y - sum_j (|M_j @ y| - w_j)_+ of ``lp``.
+
+    The dual of the L1 program is unconstrained in y, so any y gives a
+    lower bound on the optimum.
+    """
+    return float(lp.b @ y - np.maximum(np.abs(lp.M.T @ y) - lp.w, 0.0).sum())
+
+
 def feasible_problem(rng: np.random.Generator, n: int, m: int, N: int,
                      T: float, witness_scale: float = 0.5,
                      witness_support: int | None = None) -> ControlProblem:

@@ -30,6 +30,7 @@ from _instances import (
     column_generation_draws,
     double_integrator,
     feasible_problem,
+    priced_dual,
     scalar_integrator,
     stable_plant,
     twin_channel_problem,
@@ -592,18 +593,19 @@ def test_small_working_set_infeasible(monkeypatch):
 
 def test_open_gap_is_never_reported_optimal(monkeypatch):
     # a restricted solve whose primal value sits above every dual bound:
-    # the coarse round opens, pricing adds columns until it finds none, the
-    # tolerance is cut twice, and the loop gives up instead of claiming
-    # optimality.  A bias of 1.0 dwarfs the fuel; one of 1e-6 leaves the gap
-    # open by only 100 times the stop's bound, after four fine rounds of
-    # real pricing
+    # the coarse round opens, pricing adds columns until it finds none, and
+    # the loop gives up at once instead of claiming optimality.  A bias of
+    # 1.0 dwarfs the fuel; one of 1e-6 leaves the gap open by only 100
+    # times the stop's bound, after four fine rounds of real pricing.  A
+    # program within the working set is priced too, in its one round
     import handsoff.solver
 
     _small_working_set(monkeypatch)
     original = handsoff.solver.solve_ip
-    for bias, problem, untightened in [
+    for bias, problem, rounds in [
             (1.0, feasible_problem(np.random.default_rng(44), 2, 1, 80, T=2.0), 2),
-            (1e-6, _small_draw(43), 5)]:
+            (1e-6, _small_draw(43), 5),
+            (1e-6, double_integrator([1.0, 0.0], 10.0, 16), 1)]:
         tols = []
 
         def biased(lp, tol=1e-8, bias=bias, **kwargs):
@@ -616,7 +618,7 @@ def test_open_gap_is_never_reported_optimal(monkeypatch):
         assert report.status is SolveStatus.NUMERICAL_FAILURE
         assert report.signal is None
         assert report.lp_objective - report.dual_objective > bias * (1.0 - 1e-6)
-        assert tols == pytest.approx([1e-8] * untightened + [1e-9, 1e-10])
+        assert tols == [1e-8] * rounds
         assert report.pricing_rounds == len(tols)
 
 
@@ -658,9 +660,10 @@ def test_working_set_sized_program_is_solved_whole(monkeypatch):
     assert report.status is SolveStatus.OPTIMAL and report.pricing_rounds == 1
     assert len(rounds) == 1
     assert rounds[0][0].M is dp.Phi
-    direct = original(build_lp(dp, problem.weights))
+    lp = build_lp(dp, problem.weights)
+    direct = original(lp)
     assert (report.lp_objective, report.dual_objective, report.iterations) == \
-        (direct.objective, direct.dual_objective, direct.iterations)
+        (direct.objective, priced_dual(lp, direct.y), direct.iterations)
 
 
 def test_solve_discretized_peak_memory_large_horizon():
@@ -741,7 +744,7 @@ def test_failed_coarse_round_falls_back_to_every_rth_slot(status, monkeypatch):
     def failing_first(lp, *args, **kwargs):
         if not rounds:
             nan = float("nan")
-            res = handsoff.solver.IPResult(status, None, None, nan, nan, nan, nan, nan, 200)
+            res = handsoff.solver.IPResult(status, None, None, nan, nan, nan, nan, 200)
         else:
             res = original(lp, *args, **kwargs)
         rounds.append((lp, res))
