@@ -25,8 +25,20 @@ x, s, z, w is one stacked array and so is the step, so that an update,
 a ratio test or a complementarity residual is one numpy call.  Each KKT
 solve eliminates the diagonal blocks first, leaving the n x n Schur
 complement M diag(theta_p + theta_q) M^T (n = number of equality rows),
-whose Cholesky factor is inverted once per iteration; an iteration costs
-O(n^2 K + n^3) for K entries of v.
+whose Cholesky factor L is inverted once per iteration; an iteration
+costs O(n^2 K + n^3) for K entries of v.  Each right-hand side takes two
+products with L^-1, never one with S^-1 (``_make_kkt_solver``).  An
+iteration makes two solve calls: the step per unit tau and the
+predictor, whose complementarity residuals are closed-form (-z and -w
+after division by x and s), go through one call as two stacked
+right-hand sides, and the corrector is the second.
+
+Near the optimum the normal equations reach an accuracy floor (Wright
+1997, ch. 11) at which the primal residual can stall above the
+tolerance.  Once mu is below 1e-6 and the relative primal residual
+fails to halve in a step, every later KKT solve is refined once: one
+more call of the same solver, with r1 = 0, on its equality residual
+r2 - A dx.
 
 The stop (relative residuals and a gap relative to 1 + |primal|) is
 nearly absolute when the fuel is small, so once it holds an endgame
@@ -47,6 +59,7 @@ endgame can never turn an optimal status into another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -67,6 +80,9 @@ _HALVING = 0.5
 # An entry of v inside (_BAND, 1 - _BAND) in magnitude is fractional; the
 # endgame does not stop on a gap alone while more than n entries are.
 _BAND = 1e-6
+# Refinement of the KKT solves starts once mu is below this and the
+# primal residual fails to halve in a step.
+_REFINE_MU = 1e-6
 
 
 class SolveStatus(Enum):
@@ -128,13 +144,13 @@ _SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _split_dot(G, x):
-    """[G, -G] @ x for a split vector x = [p; q], held as a (2, K) array."""
-    return G @ (x[0] - x[1])
+    """[G, -G] @ x for split vectors x = [p; q], held as (..., 2, K) arrays."""
+    return (x[..., 0, :] - x[..., 1, :]) @ G.T
 
 
 def _split_tdot(G, y):
-    """[G, -G].T @ y as a (2, K) array."""
-    return _SIGNS * (G.T @ y)
+    """[G, -G].T @ y as a (..., 2, K) array, for y of shape (..., n)."""
+    return _SIGNS * (y @ G)[..., None, :]
 
 
 def _make_kkt_solver(G, theta):
@@ -144,19 +160,23 @@ def _make_kkt_solver(G, theta):
     diagonal scaling of the 2K split box variables, a (2, K) array.
     Returns a solver (r1, r2) -> (dx, dy) for A dx = r2 with
     dx = theta (A^T dy - r1), through the Schur complement
-    S = G diag(theta_p + theta_q) G^T.  S = L L^T is inverted once as
-    L^-1, so each right-hand side costs two matrix-vector products; least
-    squares serves when S is not numerically positive definite.
+    S = G diag(theta_p + theta_q) G^T.  Right-hand sides may be stacked
+    along leading axes, r1 as (..., 2, K) and r2 as (..., n), and are
+    then solved in one call.  S = L L^T is inverted once as L^-1, and
+    each right-hand side takes two products with it; S^-1 = L^-T L^-1 is
+    never formed, since its product loses the accuracy of the two
+    triangular steps once theta spans many decades.  Least squares
+    serves when S is not numerically positive definite.
     """
     S = (G * (theta[0] + theta[1])) @ G.T
     try:
         Li = np.linalg.inv(np.linalg.cholesky(S))
 
         def ssolve(r):
-            return Li.T @ (Li @ r)
+            return (r @ Li.T) @ Li
     except np.linalg.LinAlgError:
         def ssolve(r):
-            return np.linalg.lstsq(S, r, rcond=None)[0]
+            return np.linalg.lstsq(S, r.T, rcond=None)[0].T
 
     def solve(r1, r2):
         dy = ssolve(r2 + _split_dot(G, theta * r1))
@@ -174,14 +194,20 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     roundoff, and ``objective`` is its fuel w @ |v|.  Then, while the gap
     relative to max(|primal|, min w) is above ``tol`` or more than n
     entries of v are fractional, inside (``_BAND``, 1 - ``_BAND``) in
-    magnitude, the endgame keeps that iterate and steps on: a step that again meets the stop and
-    halves that gap is kept in its place, and the first step that does
-    neither, is not finite or reaches ``maxiter`` returns the kept
-    iterate, still optimal.  The residuals are the returned iterate's;
-    ``iterations`` counts every step taken, a last step not kept
-    included.  An infeasible status carries the equality-row ray
-    ``farkas_y``, an n-vector in the original row units with
-    b @ y > sum_j |M[:, j] @ y|: no v in the box reaches b.
+    magnitude, the endgame keeps that iterate and steps on: a step that
+    again meets the stop and halves that gap is kept in its place, and the
+    first step that does neither, is not finite or reaches ``maxiter``
+    returns the kept iterate, still optimal.  The residuals are the
+    returned iterate's; ``iterations`` counts every step taken, a last
+    step not kept included.  An infeasible status carries the
+    equality-row ray ``farkas_y``, an n-vector in the original row units
+    with b @ y > sum_j |M[:, j] @ y|: no v in the box reaches b.
+
+    Each iteration factors the normal equations once and makes two solve
+    calls, the step per unit tau with the predictor, then the corrector.
+    From the first step at which mu is below ``_REFINE_MU`` and rho_p has
+    not fallen to ``_HALVING`` times its last value, each solve is
+    followed by one refinement solve of its equality residual.
     """
     n, K = lp.M.shape
 
@@ -197,11 +223,22 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
 
     # Blind start of the homogeneous embedding: on the bound rows
     # x + s = tau, and centred, x z = s w = tau kappa = 1.  The rows of
-    # the iterate V and of the step dV are views that updates keep.
+    # the iterate V and of the step dV are views that updates keep; X and
+    # Z are the primal (x, s) and dual (z, w) halves.
     V = np.ones((4, 2, K))
     dV = np.empty_like(V)
+    ratio = np.empty_like(V)
     x, s, z, w = V
-    dx, ds = dV[:2]
+    X, Z = V[:2], V[2:]
+    dX, dZ = dV[:2], dV[2:]
+    dx, ds = dX
+    # the two right-hand sides of each iteration's first KKT solve, the
+    # step per unit dtau and the predictor, and the corrector's
+    # complementarity residuals divided by X
+    rhs1 = np.empty((2, 2, K))
+    rhs2 = np.empty((2, n))
+    rhs2[0] = beq
+    RX = np.empty((2, 2, K))
     ye = np.zeros(n)
     tau, kappa = 2.0, 0.5
     pairs = 4 * K + 1  # x z, s w and tau kappa
@@ -218,10 +255,14 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     rd_norm0 = max(1.0, float(np.linalg.norm(rd)))
     rg_norm0 = max(1.0, abs(rg))
 
-    def max_step(dtau, dkappa, damp):
-        # the fastest relative rate at which a variable falls toward zero
-        rate = max(-float(np.min(dV / V, initial=0.0)), -dtau / tau, -dkappa / kappa)
-        return min(1.0, damp / rate) if rate > 0 else 1.0
+    def kkt(solve, r1, r2):
+        # once refining, one more solve of the equality rows' residual
+        d, dy = solve(r1, r2)
+        if refine:
+            dd, ddy = solve(0.0, r2 - _split_dot(G, d))
+            d += dd
+            dy += ddy
+        return d, dy
 
     def finish(status, it, rho_p, rho_d, rho_A):
         if status is SolveStatus.OPTIMAL:
@@ -234,88 +275,124 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
 
     # the last iterate that met the stop, kept while the endgame steps on
     kept, kept_rel = None, 0.0
+    # iterative refinement of the KKT solves, on for good once rho_p stalls
+    refine, last_rho_p = False, math.inf
     iteration = 0
-    while True:
-        rp, rd, cx, by, rg = residuals()
-        mu = (np.vdot(V[:2], V[2:]) + tau * kappa) / pairs  # 1 at the blind start
-        # The iterate may drift along the (x, tau) scaling ray; optimality
-        # is judged on the scaled candidate point, so residual norms are
-        # divided by tau.  The raw norms feed the infeasibility tests.
-        raw_p = float(np.linalg.norm(rp)) / rp_norm0
-        raw_d = float(np.linalg.norm(rd)) / rd_norm0
-        rho_p, rho_d = raw_p / tau, raw_d / tau
-        # relative duality gap in the original objective units, so that a
-        # converged solve certifies |primal - dual| <= tol * (1 + |primal|)
-        rho_A = float(cscale * abs(cx - by) / (tau + cscale * abs(cx)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            rp, rd, cx, by, rg = residuals()
+            mu = (np.vdot(X, Z) + tau * kappa) / pairs  # 1 at the blind start
+            # The iterate may drift along the (x, tau) scaling ray; optimality
+            # is judged on the scaled candidate point, so residual norms are
+            # divided by tau.  The raw norms feed the infeasibility tests.
+            raw_p = math.sqrt(rp @ rp) / rp_norm0
+            raw_d = math.sqrt(np.vdot(rd, rd)) / rd_norm0
+            rho_p, rho_d = raw_p / tau, raw_d / tau
+            # relative duality gap in the original objective units, so that a
+            # converged solve certifies |primal - dual| <= tol * (1 + |primal|)
+            rho_A = float(cscale * abs(cx - by) / (tau + cscale * abs(cx)))
 
-        # The embedding converges with tau -> 0 exactly when no finite
-        # optimal pair exists; by > 0 then witnesses primal infeasibility.
-        if kept is None and iteration and (
-                (raw_p <= tol and raw_d <= tol and abs(rg) / rg_norm0 <= tol
-                 and tau <= tol * max(1.0, kappa))
-                or (mu <= tol and tau <= tol * min(1.0, kappa))):
-            if by > tol and _farkas_certified(G, ye, w, by):
-                return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A)
-            return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
-        optimal = rho_p <= tol and rho_d <= tol and rho_A <= tol
-        # the gap relative to the fuel, floored at the smallest weight (one
-        # slot's fuel); weights all zero leave no fuel to measure by
-        fuel = max(abs(cx), tau * c_min)
-        rel = float(abs(cx - by) / fuel) if fuel else 0.0
-        if kept is not None and not (optimal and rel <= _HALVING * kept_rel):
-            return replace(kept, iterations=iteration)
-        if optimal:
-            kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A), rel
-            v = np.abs(kept.x)
-            if rel <= tol and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= n:
-                return kept
-        if iteration >= maxiter:
-            return kept or finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)
-        iteration += 1
+            # The embedding converges with tau -> 0 exactly when no finite
+            # optimal pair exists; by > 0 then witnesses primal infeasibility.
+            if kept is None and iteration and (
+                    (raw_p <= tol and raw_d <= tol and abs(rg) / rg_norm0 <= tol
+                     and tau <= tol * max(1.0, kappa))
+                    or (mu <= tol and tau <= tol * min(1.0, kappa))):
+                if by > tol and _farkas_certified(G, ye, w, by):
+                    return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A)
+                return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
+            optimal = rho_p <= tol and rho_d <= tol and rho_A <= tol
+            # the gap relative to the fuel, floored at the smallest weight (one
+            # slot's fuel); weights all zero leave no fuel to measure by
+            fuel = max(abs(cx), tau * c_min)
+            rel = float(abs(cx - by) / fuel) if fuel else 0.0
+            if kept is not None and not (optimal and rel <= _HALVING * kept_rel):
+                return replace(kept, iterations=iteration)
+            if optimal:
+                kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A), rel
+                v = np.abs(kept.x)
+                if rel <= tol and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= n:
+                    return kept
+            if iteration >= maxiter:
+                return kept or finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)
+            iteration += 1
+            refine = refine or (mu < _REFINE_MU and rho_p > _HALVING * last_rho_p)
+            last_rho_p = rho_p
 
-        # Mehrotra predictor-corrector on the embedding.  The bound rows
-        # hold exactly, so ds = dtau - dx keeps them, and their duals are
-        # -w.  Eliminating dz and dw leaves the normal equations in dx, dy
-        # with theta = 1 / (z/x + w/s), capped so that it stays finite
-        # after an underflow of z and w in the endgame; dtau follows from
-        # the gap row, with (dx1, dy1) the step per unit dtau, and R holds
-        # the complementarity residuals of x z and s w.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # Mehrotra predictor-corrector on the embedding.  The bound rows
+            # hold exactly, so ds = dtau - dx keeps them, and their duals are
+            # -w.  Eliminating dz and dw leaves the normal equations in dx, dy
+            # with theta = 1 / (z/x + w/s), capped so that it stays finite
+            # after an underflow of z and w in the endgame; dtau follows from
+            # the gap row, with (dx1, dy1) the step per unit dtau.  A step with
+            # centring gamma has complementarity residuals R = gamma mu - X Z
+            # (minus the predictor's dX dZ in the corrector) and the right-hand
+            # side (eta rd + R_s / s - R_x / x, eta rp), eta = 1 - gamma.  The
+            # predictor's gamma = 0 gives R / X = -(z, w): its right-hand side
+            # is (rd - w + z, rp) and its (dz, dw) = -Z (1 + dX / X), so it
+            # shares one solve with the step per unit dtau.
             ws = w / s
             theta = np.fmin(1.0 / (z / x + ws), 1e16)
             solve_kkt = _make_kkt_solver(G, theta)
-            dx1, dy1 = solve_kkt(c - ws, beq)
+            np.subtract(c, ws, out=rhs1[0])
+            np.subtract(rd, w, out=rhs1[1])
+            rhs1[1] += z
+            rhs2[1] = rp
+            d, dy = kkt(solve_kkt, rhs1, rhs2)
+            dx1, dy1 = d[0], dy[0]
             cc = c + ws
-            den = np.vdot(cc, dx1) - beq @ dy1 - ws.sum() - kappa / tau
-            gamma = 0.0
-            for corrector in (False, True):
-                eta = 1.0 - gamma
-                R = gamma * mu - V[:2] * V[2:]
-                rtk = gamma * mu - tau * kappa
-                if corrector:
-                    R -= dV[:2] * dV[2:]
-                    rtk -= dtau * dkappa
-                rsw_s = R[1] / s
-                dx0, dy0 = solve_kkt(eta * rd + rsw_s - R[0] / x, eta * rp)
-                dtau = (beq @ dy0 - np.vdot(cc, dx0) - eta * rg - rsw_s.sum() - rtk / tau) / den
-                np.add(dx0, dtau * dx1, out=dx)
-                np.subtract(dtau, dx, out=ds)
-                np.divide(R - V[2:] * dV[:2], V[:2], out=dV[2:])
-                dye = dy0 + dtau * dy1
-                dkappa = (rtk - kappa * dtau) / tau
-                if not corrector:
-                    alpha = max_step(dtau, dkappa, 1.0)
-                    gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
+            cd = d.reshape(2, -1) @ cc.ravel()
+            bd = dy @ beq
+            den = cd[0] - bd[0] - ws.sum() - kappa / tau
+
+            # the predictor, whose gap row has R_s / s = -w and rtk = -tau kappa
+            dtau = (bd[1] - cd[1] - rg + w.sum() + kappa) / den
+            np.multiply(dx1, dtau, out=dx)
+            dx += d[1]
+            np.subtract(dtau, dx, out=ds)
+            # dZ / Z = -(1 + dX / X) and dkappa / kappa = -(1 + dtau / tau),
+            # so the ratio test needs the extremes of dX / X alone
+            q = ratio[:2]
+            np.divide(dX, X, out=q)
+            np.subtract(-1.0, q, out=dZ)
+            dZ *= Z
+            dkappa = -kappa * (1.0 + dtau / tau)
+            alpha = 1.0 / max(1.0, -float(q.min()), 1.0 + float(q.max()),
+                              -dtau / tau, 1.0 + dtau / tau)
+            gamma = (1.0 - alpha) ** 2 * min(0.1, 1.0 - alpha)
+            eta = 1.0 - gamma
+
+            # the corrector, RX = R / X with R = gamma mu - X Z - dX dZ
+            dZ *= dX
+            np.multiply(X, Z, out=RX)
+            RX += dZ
+            np.subtract(gamma * mu, RX, out=RX)
+            RX /= X
+            rtk = gamma * mu - tau * kappa - dtau * dkappa
+            dx0, dy0 = kkt(solve_kkt, eta * rd + RX[1] - RX[0], eta * rp)
+            dtau = (beq @ dy0 - np.vdot(cc, dx0) - eta * rg - RX[1].sum() - rtk / tau) / den
+            np.multiply(dx1, dtau, out=dx)
+            dx += dx0
+            np.subtract(dtau, dx, out=ds)
+            np.divide(dX, X, out=dZ)
+            dZ *= Z
+            np.subtract(RX, dZ, out=dZ)
+            dye = dy0 + dtau * dy1
+            dkappa = (rtk - kappa * dtau) / tau
             if not (np.isfinite(dkappa) and np.isfinite(dV).all() and np.isfinite(dye).all()):
                 if kept is not None:
                     return replace(kept, iterations=iteration)
                 return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
-            alpha = max_step(dtau, dkappa, _ALPHA0)
+            # the fastest relative rate at which a variable falls toward zero
+            np.divide(dV, V, out=ratio)
+            rate = max(-float(ratio.min(initial=0.0)), -dtau / tau, -dkappa / kappa)
+            alpha = min(1.0, _ALPHA0 / rate) if rate > 0 else 1.0
 
-        V += alpha * dV
-        ye = ye + alpha * dye
-        tau += alpha * dtau
-        kappa += alpha * dkappa
+            dV *= alpha
+            V += dV
+            ye = ye + alpha * dye
+            tau += alpha * dtau
+            kappa += alpha * dkappa
 
 
 def _farkas_certified(G, ye, w, by) -> bool:

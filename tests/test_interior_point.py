@@ -190,6 +190,9 @@ def test_endgame_exit_returns_the_kept_iterate(exit, monkeypatch):
         monkeypatch.setattr(interior_point, "_make_kkt_solver", failing)
     else:
         monkeypatch.setattr(interior_point, "_HALVING", 0.0)
+        # the refinement gate keys on the same halving of rho_p; keep it
+        # off so that the solve reaches the unpatched iterate k
+        monkeypatch.setattr(interior_point, "_REFINE_MU", 0.0)
     res = solve_ip(lp, tol=tol)
     assert res.status is SolveStatus.OPTIMAL
     assert res.iterations == k + 1  # the step that was not kept counts
@@ -227,33 +230,48 @@ def test_endgame_steps_on_to_a_vertex(monkeypatch):
 
 def assert_solves_kkt(G, theta, r1, r2):
     """(dx, dy) must satisfy [G, -G] dx = r2 and dx = theta ([G, -G]^T dy - r1),
-    each to 1e-10 relative to the size of the terms it sums."""
+    each to 1e-10 relative to the size of the terms it sums.  Right-hand
+    sides stacked as r1 (s, 2, K) and r2 (s, n) are solved in one call
+    and each is checked."""
     A = np.hstack([G, -G])
     dx, dy = _make_kkt_solver(G, theta)(r1, r2)
-    dx, theta, r1 = dx.ravel(), theta.ravel(), r1.ravel()
-    t = A.T @ dy
-    terms = theta * (np.abs(t) + np.abs(r1))
-    assert np.linalg.norm(A @ dx - r2) <= 1e-10 * (np.linalg.norm(r2)
-                                                   + np.linalg.norm(np.abs(A) @ terms))
-    assert np.all(np.abs(dx - theta * (t - r1)) <= 1e-10 * terms)
+    assert dx.shape == r1.shape and dy.shape == r2.shape
+    theta = theta.ravel()
+    for dx, dy, r1, r2 in zip(dx.reshape(-1, A.shape[1]), dy.reshape(-1, A.shape[0]),
+                              r1.reshape(-1, A.shape[1]), r2.reshape(-1, A.shape[0])):
+        t = A.T @ dy
+        terms = theta * (np.abs(t) + np.abs(r1))
+        assert np.linalg.norm(A @ dx - r2) <= 1e-10 * (np.linalg.norm(r2)
+                                                       + np.linalg.norm(np.abs(A) @ terms))
+        assert np.all(np.abs(dx - theta * (t - r1)) <= 1e-10 * terms)
 
 
-def random_kkt_system(rng, shared_row=False):
+def random_kkt_system(rng, shared_row=False, decades=(-4.0, 4.0), stack=()):
+    """G, theta with log10 theta uniform over ``decades``, and right-hand
+    sides r1, r2 stacked along the leading shape ``stack``."""
     n = int(rng.integers(2 if shared_row else 1, 9))
     K = int(rng.integers(n, 51))
     G = rng.normal(size=(n, K))
-    r2 = rng.normal(size=n)
+    r2 = rng.normal(size=stack + (n,))
     if shared_row:
         # a consistent system whose Schur complement is singular
-        G[1], r2[1] = G[0], r2[0]
-    theta = 10.0 ** rng.uniform(-4.0, 4.0, size=(2, K))
-    return G, theta, rng.normal(size=(2, K)), r2
+        G[1], r2[..., 1] = G[0], r2[..., 0]
+    theta = 10.0 ** rng.uniform(*decades, size=(2, K))
+    return G, theta, rng.normal(size=stack + (2, K)), r2
 
 
 def test_kkt_solver_solves_the_normal_equations():
     rng = np.random.default_rng(16)
     for _ in range(100):
         assert_solves_kkt(*random_kkt_system(rng))
+    # theta over twenty decades, as in the endgame
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        assert_solves_kkt(*random_kkt_system(rng, decades=(-8.0, 12.0)))
+    # two right-hand sides in one call, as the interior point stacks them
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        assert_solves_kkt(*random_kkt_system(rng, stack=(2,)))
 
 
 def test_kkt_solver_falls_back_to_least_squares_on_equal_rows(monkeypatch):
@@ -270,27 +288,25 @@ def test_kkt_solver_falls_back_to_least_squares_on_equal_rows(monkeypatch):
     # a singular Schur complement may still pass Cholesky on roundoff, but
     # not on every draw
     assert calls
-
-
-PRIMAL_FLOOR = ("iteration_limit: full steps while the primal residual stays between "
-                "1e-9 and 1e-6, an accuracy floor of the normal equations")
+    # least squares takes stacked right-hand sides too
+    calls.clear()
+    for _ in range(20):
+        assert_solves_kkt(*random_kkt_system(rng, shared_row=True, stack=(2,)))
+    assert calls
 
 
 @pytest.mark.parametrize("instance, support", [
-    pytest.param(3, (2, 8, 9, 11, 13, 15), marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="iteration_limit: the primal residual stays above 1e-9 while mu falls to "
-               "1e-22, then the gap row's denominator vanishes and the steps collapse")),
-    pytest.param(20, (1, 3, 6, 7, 8), marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=PRIMAL_FLOOR)),
-    pytest.param(20, (1, 3, 4, 5, 7, 9), marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=PRIMAL_FLOOR)),
+    (3, (2, 8, 9, 11, 13, 15)),
+    (20, (1, 3, 6, 7, 8)),
+    (20, (1, 3, 4, 5, 7, 9)),
     (23, (1, 4, 5, 7, 9)),
 ])
 def test_feasible_fixed_support_fuel_program_is_solved(instance, support):
     # feasible fuel programs on one support of a reference instance, above
-    # its minimum support, on which the interior point has run to its
-    # iteration limit
+    # its minimum support, on which the interior point ran to its iteration
+    # limit with the primal residual stalled between 1e-9 and 1e-6, the
+    # accuracy floor of the normal equations, until refinement of the KKT
+    # solves
     dp = build_reachability(next(islice(reference_instances(), instance, None)))
     M, w = dp.Phi[:, list(support)], np.full(len(support), dp.h)
     ref = linprog(np.concatenate([w, w]), A_eq=np.hstack([M, -M]), b_eq=-dp.c,

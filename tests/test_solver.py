@@ -308,8 +308,8 @@ def test_small_fuel_objective_matches_highs():
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP item 6: iteration_limit; round 3 of the column generation stops at "
-           "200 iterations with the primal residual at 1.5e-4")
+    reason="ROADMAP items 3 and 8: optimal at 0.0070849 with P - D = 4.9e-7 P, 2.0e-3 above "
+           "HiGHS, whose answers leave terminal residuals of 2e-10 on this ill-conditioned draw")
 def test_feasible_column_generation_draw_is_solved():
     # the second draw of a random sweep: n=8, m=1, N=7724, T=0.7167.  HiGHS
     # finds it feasible, but its dual simplex (0.007071157773, terminal
