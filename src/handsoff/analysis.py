@@ -338,7 +338,8 @@ def verify_equivalence(problem: ControlProblem,
     report = solve_discretized(dp, problem.weights, options)
     if report.status is not SolveStatus.OPTIMAL:
         raise HandsOffError(
-            f"equivalence check needs an optimal solve, got {report.status.value}")
+            f"equivalence check needs an optimal solve, got {report.status.value}: "
+            f"{report.reason}")
 
     thr = options.sparsity_threshold
     support_set = tuple(np.flatnonzero(np.abs(report.signal.U) > thr).tolist())

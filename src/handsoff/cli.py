@@ -13,7 +13,6 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +37,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_DISAGREE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand, paths, tolerance overrides, grids."""
-
-    subcommand: str
-    input_path: Path
-    out_path: Path | None
-    csv_path: Path | None
-    options: SolverOptions
-    substeps: int
-    sweep_T: tuple[float, ...]
-    sweep_scale: tuple[float, ...]
 
 
 def _json_safe(value):
@@ -126,73 +111,72 @@ def _status_exit(status: SolveStatus) -> int:
     return EXIT_ERROR
 
 
-def _solve_input(cfg: RunConfig, substeps: int | None = None):
+def _solve_input(path: Path, options: SolverOptions, substeps: int | None = None):
     """Read the input problem, discretize it once, and solve it.
 
     ``substeps`` is the fine grid a later simulation needs; it is checked
     against the memory guard before any discretization or solve.
     Returns (problem, dp, report); callers reuse dp for every later stage.
     """
-    problem = read_problem(cfg.input_path.read_text())
+    problem = read_problem(path.read_text())
     if substeps is not None:
         check_fine_grid(problem.N, substeps)
     dp = build_reachability(problem)
-    return problem, dp, solve_discretized(dp, problem.weights, cfg.options)
+    return problem, dp, solve_discretized(dp, problem.weights, options)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(args: argparse.Namespace, options: SolverOptions) -> int:
     started = time.perf_counter()
-    problem, dp, report = _solve_input(cfg)
+    problem, dp, report = _solve_input(args.input, options)
     document = {
         "schema": SCHEMA,
         "command": "solve",
         "problem": _problem_doc(problem),
-        **_solve_doc(report, cfg.options.sparsity_threshold),
+        **_solve_doc(report, options.sparsity_threshold),
         "wall_time_sec": time.perf_counter() - started,
     }
-    if report.signal is not None and cfg.csv_path is not None:
+    if report.signal is not None and args.csv is not None:
         traj = simulate_discrete(dp, report.signal, problem.x0)
-        cfg.csv_path.write_text(write_signal(report.signal, traj))
-    _emit(document, cfg.out_path)
+        args.csv.write_text(write_signal(report.signal, traj))
+    _emit(document, args.out)
     return _status_exit(report.status)
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace, options: SolverOptions) -> int:
     started = time.perf_counter()
-    problem, dp, report = _solve_input(cfg)
+    problem, dp, report = _solve_input(args.input, options)
     document = {
         "schema": SCHEMA,
         "command": "compare",
         "problem": _problem_doc(problem),
-        "l1": _solve_doc(report, cfg.options.sparsity_threshold),
+        "l1": _solve_doc(report, options.sparsity_threshold),
     }
     try:
         baseline, violated = min_energy_baseline(dp)
         document["min_energy"] = {
             "status": "ok",
             "bound_violation": violated,
-            "sparsity": _sparsity_doc(baseline, cfg.options.sparsity_threshold),
+            "sparsity": _sparsity_doc(baseline, options.sparsity_threshold),
         }
     except RankDeficient as exc:
         baseline = None
         document["min_energy"] = {"status": "rank_deficient", "message": str(exc)}
-    if cfg.csv_path is not None:
+    if args.csv is not None:
         if report.signal is not None:
             traj = simulate_discrete(dp, report.signal, problem.x0)
-            cfg.csv_path.write_text(write_signal(report.signal, traj))
+            args.csv.write_text(write_signal(report.signal, traj))
         if baseline is not None:
-            twin = cfg.csv_path.with_name(cfg.csv_path.stem + "_min_energy.csv")
+            twin = args.csv.with_name(args.csv.stem + "_min_energy.csv")
             traj = simulate_discrete(dp, baseline, problem.x0)
             twin.write_text(write_signal(baseline, traj))
     document["wall_time_sec"] = time.perf_counter() - started
-    _emit(document, cfg.out_path)
+    _emit(document, args.out)
     return _status_exit(report.status)
 
 
-def _sweep_instance(problem: ControlProblem, cfg: RunConfig,
-                    value: float) -> ControlProblem:
+def _sweep_instance(problem: ControlProblem, key: str, value: float) -> ControlProblem:
     """The problem at one grid value; HandsOffError if the value is unusable."""
-    if cfg.sweep_T:
+    if key == "T":
         h = problem.h
         N_exact = value / h
         N = round(N_exact) if np.isfinite(N_exact) else 0
@@ -204,15 +188,17 @@ def _sweep_instance(problem: ControlProblem, cfg: RunConfig,
     return dataclasses.replace(problem, weights=problem.weights * value)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> int:
+    if not (args.sweep_T or args.sweep_scale):
+        raise HandsOffError("sweep needs --sweep-T or --sweep-scale")
     started = time.perf_counter()
-    problem = read_problem(cfg.input_path.read_text())
-    key, grid = ("T", cfg.sweep_T) if cfg.sweep_T else ("scale", cfg.sweep_scale)
+    problem = read_problem(args.input.read_text())
+    key, grid = ("T", args.sweep_T) if args.sweep_T else ("scale", args.sweep_scale)
     rows = []
     for value in grid:
         row = {key: value}
         try:
-            report = solve(_sweep_instance(problem, cfg, value), cfg.options)
+            report = solve(_sweep_instance(problem, key, value), options)
         except HandsOffError as exc:
             row.update(status="error", error=str(exc))
             rows.append(row)
@@ -220,12 +206,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         row.update(status=report.status.value, error=None,
                    objective=report.objective, iterations=report.iterations)
         if report.signal is not None:
-            rep = sparsity(report.signal, cfg.options.sparsity_threshold)
+            rep = sparsity(report.signal, options.sparsity_threshold)
             row.update(support_measure=rep.support_measure,
                        hands_off_ratio=rep.hands_off_ratio)
         rows.append(row)
     nonincreasing = True
-    if cfg.sweep_T:
+    if key == "T":
         values = [r["objective"] for r in rows if r.get("status") == "optimal"]
         nonincreasing = all(b <= a + 1e-12 * max(1.0, abs(a))
                             for a, b in zip(values, values[1:]))
@@ -237,14 +223,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "objective_nonincreasing": nonincreasing,
         "wall_time_sec": time.perf_counter() - started,
     }
-    _emit(document, cfg.out_path)
+    _emit(document, args.out)
     return EXIT_OK
 
 
-def cmd_verify_equivalence(cfg: RunConfig) -> int:
+def cmd_verify_equivalence(args: argparse.Namespace, options: SolverOptions) -> int:
     started = time.perf_counter()
-    problem = read_problem(cfg.input_path.read_text())
-    equivalence, report = analysis.verify_equivalence(problem, cfg.options)
+    problem = read_problem(args.input.read_text())
+    equivalence, report = analysis.verify_equivalence(problem, options)
     document = {
         "schema": SCHEMA,
         "command": "verify-equivalence",
@@ -261,38 +247,40 @@ def cmd_verify_equivalence(cfg: RunConfig) -> int:
         "iterations": report.iterations,
         "wall_time_sec": time.perf_counter() - started,
     }
-    _emit(document, cfg.out_path)
+    _emit(document, args.out)
     return EXIT_OK if equivalence.agree else EXIT_DISAGREE
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace, options: SolverOptions) -> int:
+    substeps = args.substeps
+    if substeps < 1:
+        raise HandsOffError("--substeps must be >= 1")
     started = time.perf_counter()
-    problem, dp, report = _solve_input(cfg, cfg.substeps)
+    problem, dp, report = _solve_input(args.input, options, substeps)
     document = {
         "schema": SCHEMA,
         "command": "simulate",
         "problem": _problem_doc(problem),
-        **_solve_doc(report, cfg.options.sparsity_threshold),
-        "substeps": cfg.substeps,
+        **_solve_doc(report, options.sparsity_threshold),
+        "substeps": substeps,
     }
     if report.signal is not None:
         coarse = simulate_discrete(dp, report.signal, problem.x0)
-        fine = simulate_continuous(problem.plant, report.signal, problem.x0,
-                                   cfg.substeps)
-        grid = fine[::cfg.substeps]
+        fine = simulate_continuous(problem.plant, report.signal, problem.x0, substeps)
+        grid = fine[::substeps]
         document["discrete_terminal_error"] = float(np.linalg.norm(coarse[-1]))
         document["continuous_terminal_error"] = float(np.linalg.norm(fine[-1]))
         document["max_gridpoint_gap"] = float(np.max(np.abs(grid - coarse)))
-        if cfg.csv_path is not None:
+        if args.csv is not None:
             fine_signal = ControlSignal(
-                U=np.repeat(report.signal.as_steps(), cfg.substeps, axis=0).ravel(),
-                h=report.signal.h / cfg.substeps,
+                U=np.repeat(report.signal.as_steps(), substeps, axis=0).ravel(),
+                h=report.signal.h / substeps,
                 m=report.signal.m,
-                N=report.signal.N * cfg.substeps,
+                N=report.signal.N * substeps,
             )
-            cfg.csv_path.write_text(write_signal(fine_signal, fine))
+            args.csv.write_text(write_signal(fine_signal, fine))
     document["wall_time_sec"] = time.perf_counter() - started
-    _emit(document, cfg.out_path)
+    _emit(document, args.out)
     return _status_exit(report.status)
 
 
@@ -348,36 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    for name in ("opt_tol", "feas_tol", "threshold"):
-        value = getattr(args, name)
-        if not (np.isfinite(value) and value > 0):
-            raise HandsOffError(f"--{name.replace('_', '-')} must be finite and positive")
-    sweep_T = tuple(getattr(args, "sweep_T", ()) or ())
-    sweep_scale = tuple(getattr(args, "sweep_scale", ()) or ())
-    if args.subcommand == "sweep" and not (sweep_T or sweep_scale):
-        raise HandsOffError("sweep needs --sweep-T or --sweep-scale")
-    substeps = int(getattr(args, "substeps", 20))
-    if substeps < 1:
-        raise HandsOffError("--substeps must be >= 1")
-    options = SolverOptions(
-        opt_tol=args.opt_tol,
-        feas_tol=args.feas_tol,
-        sparsity_threshold=args.threshold,
-        polish=not args.no_polish,
-    )
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=args.input,
-        out_path=args.out,
-        csv_path=args.csv,
-        options=options,
-        substeps=substeps,
-        sweep_T=sweep_T,
-        sweep_scale=sweep_scale,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -386,8 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         # "infeasible" here, so a usage error reports EXIT_ERROR instead
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        options = SolverOptions(opt_tol=args.opt_tol, feas_tol=args.feas_tol,
+                                sparsity_threshold=args.threshold,
+                                polish=not args.no_polish)
+        return _COMMANDS[args.subcommand](args, options)
     except (HandsOffError, OSError) as exc:
         print(f"handsoff: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -74,18 +74,14 @@ def zoh_discretize(plant: PlantModel, h: float) -> tuple[np.ndarray, np.ndarray]
 
     Both blocks come from a single exponential of the augmented matrix
     [[A, B], [0, 0]] * h, which needs no invertibility assumption on A.
+    The plant checked its shapes when it was built; only h is checked here.
     """
     if not (np.isfinite(h) and h > 0):
         raise NonpositiveHorizon(f"step length must be positive, got {h}")
-    A, B = plant.A, plant.B
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"A must be square, got shape {A.shape}")
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise DimensionMismatch(f"B must have {A.shape[0]} rows, got shape {B.shape}")
-    n, m = A.shape[0], B.shape[1]
+    n, m = plant.n, plant.m
     aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = A
-    aug[:n, n:] = B
+    aug[:n, :n] = plant.A
+    aug[:n, n:] = plant.B
     E = matrix_exponential(aug * h)
     return E[:n, :n].copy(), E[:n, n:].copy()
 
@@ -127,27 +123,33 @@ def build_reachability(problem: ControlProblem) -> DiscretizedPlant:
     its last block is Bd, and while L < N slots are filled, P = Ad^L
     times the last min(L, N - L) blocks fills the ones before them.  The
     same P = Ad^(2^i) multiply x0 for each bit 2^i of N, giving c = Ad^N x0.
+    A plant that grows too fast for float64 over the horizon raises
+    NonFiniteInput here, before any later stage sees the overflow.
     """
     n, m, N = problem.plant.n, problem.plant.m, int(problem.N)
     if m * N > MEMORY_GUARD:
         raise ProblemTooLarge(f"m*N = {m * N} exceeds the memory guard of {MEMORY_GUARD}")
     h = problem.T / N
-    Ad, Bd = zoh_discretize(problem.plant, h)
     K = m * N
     Phi = np.empty((n, K))
-    Phi[:, K - m:] = Bd
-    c = problem.x0
-    power, L = Ad, 1  # power = Ad^L
-    while True:
-        if N & L:
-            c = power @ c
-        take = min(L, N - L)
-        if take > 0:
-            Phi[:, K - (L + take) * m:K - L * m] = power @ Phi[:, K - take * m:]
-        L *= 2
-        if L > N:
-            break
-        power = power @ power
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ad, Bd = zoh_discretize(problem.plant, h)
+        Phi[:, K - m:] = Bd
+        c = problem.x0
+        power, L = Ad, 1  # power = Ad^L
+        while True:
+            if N & L:
+                c = power @ c
+            take = min(L, N - L)
+            if take > 0:
+                Phi[:, K - (L + take) * m:K - L * m] = power @ Phi[:, K - take * m:]
+            L *= 2
+            if L > N:
+                break
+            power = power @ power
+    if not all(np.isfinite(a).all() for a in (Ad, Bd, Phi, c)):
+        raise NonFiniteInput(
+            f"reachability data overflows float64: e^(A t) is too large over T = {problem.T}")
     return DiscretizedPlant(Ad=Ad, Bd=Bd, h=h, Phi=Phi, c=c, x0=problem.x0)
 
 

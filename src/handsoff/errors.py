@@ -18,7 +18,9 @@ class NonpositiveHorizon(HandsOffError):
 
 
 class NonFiniteInput(HandsOffError):
-    """An input array contains NaN or infinite entries."""
+    """An input array contains NaN or infinite entries, or data derived
+    from finite input overflows float64 (a plant that grows too fast
+    over the horizon)."""
 
 
 class ParseError(HandsOffError):

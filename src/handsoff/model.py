@@ -34,22 +34,34 @@ def _frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Continuous-time LTI pair: dx/dt = A x + B u."""
+    """Continuous-time LTI pair: dx/dt = A x + B u.
+
+    Construction checks the pair: DimensionMismatch unless A is n x n
+    and B is n x m with n, m >= 1, NonFiniteInput for NaN/inf entries.
+    """
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _frozen_array(self.A))
-        object.__setattr__(self, "B", _frozen_array(self.B))
+        A, B = _frozen_array(self.A), _frozen_array(self.B)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+            raise DimensionMismatch(f"A must be square and nonempty, got shape {A.shape}")
+        n = A.shape[0]
+        if B.ndim != 2 or B.shape[0] != n or B.shape[1] < 1:
+            raise DimensionMismatch(f"B must be {n} x m with m >= 1, got shape {B.shape}")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+            raise NonFiniteInput("plant matrices contain non-finite entries")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def n(self) -> int:
-        return self.A.shape[0] if self.A.ndim == 2 else 0
+        return self.A.shape[0]
 
     @property
     def m(self) -> int:
-        return self.B.shape[1] if self.B.ndim == 2 else 0
+        return self.B.shape[1]
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,7 @@ class ControlProblem:
     def __post_init__(self):
         object.__setattr__(self, "x0", _frozen_array(np.atleast_1d(self.x0)))
         if self.weights is None:
-            w = np.ones(max(self.plant.m, 1))
+            w = np.ones(self.plant.m)
         else:
             w = np.atleast_1d(self.weights)
         object.__setattr__(self, "weights", _frozen_array(w))
@@ -133,21 +145,14 @@ class ControlSignal:
 
 
 def validate_problem(problem: ControlProblem) -> ControlProblem:
-    """Check every invariant and return the problem unchanged.
+    """Check x0, T, N and the weights against the plant; return the problem.
 
-    Malformed input is reported, never repaired: DimensionMismatch for
-    inconsistent shapes, NonpositiveHorizon for T <= 0 or N < 1,
-    NonpositiveWeight for any weight <= 0, NonFiniteInput for NaN/inf.
+    Malformed input is reported, never repaired: DimensionMismatch for an
+    x0 or weights shape that does not fit the plant, NonpositiveHorizon for
+    T <= 0 or N < 1, NonpositiveWeight for any weight <= 0, NonFiniteInput
+    for NaN/inf.  The plant checked itself when it was built.
     """
-    A, B = problem.plant.A, problem.plant.B
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise DimensionMismatch(f"A must be square and nonempty, got shape {A.shape}")
-    n = A.shape[0]
-    if B.ndim != 2 or B.shape[0] != n or B.shape[1] < 1:
-        raise DimensionMismatch(f"B must be {n} x m with m >= 1, got shape {B.shape}")
-    m = B.shape[1]
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise NonFiniteInput("plant matrices contain non-finite entries")
+    n = problem.plant.n
     if problem.x0.ndim != 1 or problem.x0.size != n:
         raise DimensionMismatch(f"x0 must have length n = {n}, got shape {problem.x0.shape}")
     if not np.all(np.isfinite(problem.x0)):
@@ -156,7 +161,7 @@ def validate_problem(problem: ControlProblem) -> ControlProblem:
         raise NonpositiveHorizon(f"horizon T must be positive, got {problem.T}")
     if int(problem.N) != problem.N or problem.N < 1:
         raise NonpositiveHorizon(f"grid size N must be a positive integer, got {problem.N}")
-    validate_weights(problem.weights, m)
+    validate_weights(problem.weights, problem.plant.m)
     return problem
 
 

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscretizedPlant, build_reachability, feasibility_radius
+from .errors import HandsOffError
 from .interior_point import IPResult, L1Program, SolveStatus, solve_ip
 from .model import ControlProblem, ControlSignal, validate_weights
 
@@ -84,12 +85,22 @@ _OVERSHOOT = 1e-9
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and switches for the solve pipeline."""
+    """Tolerances and switches for the solve pipeline.
+
+    Construction raises HandsOffError unless each tolerance is finite and
+    positive: NaN passes a "<= 0" test and inf accepts any control.
+    """
 
     opt_tol: float = 1e-8
     feas_tol: float = 1e-6
     sparsity_threshold: float = 1e-6
     polish: bool = True
+
+    def __post_init__(self):
+        for name in ("opt_tol", "feas_tol", "sparsity_threshold"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise HandsOffError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,8 @@ class SolveReport:
     ``iterations`` sums the interior-point iterations of every round,
     the endgame steps of ``solve_ip`` included, and ``pricing_rounds``
     counts the rounds (``solve_ip`` calls), the coarse round included.
+    ``reason`` names the check that chose a status other than optimal,
+    and is empty for an optimal one.
     """
 
     status: SolveStatus
@@ -125,6 +138,7 @@ class SolveReport:
     feasibility_slack: float
     polish_rounds: int = 0
     pricing_rounds: int = 1
+    reason: str = ""
 
 
 def build_lp(dp: DiscretizedPlant, weights: np.ndarray) -> L1Program:
@@ -376,7 +390,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     slack = feasibility_radius(dp)
     m, N, h = dp.m, dp.N, dp.h
 
-    def failure(status, sol: _L1Solve | None = None):
+    def failure(status, reason: str, sol: _L1Solve | None = None):
         ip = sol.ip if sol else None
         return SolveReport(
             status=status,
@@ -393,21 +407,30 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
             polish_applied=False,
             feasibility_slack=slack,
             pricing_rounds=sol.rounds if sol else 0,
+            reason=reason,
         )
 
     lp = build_lp(dp, weights)
     if slack < 0:
-        return failure(SolveStatus.INFEASIBLE)
+        return failure(SolveStatus.INFEASIBLE,
+                       f"feasibility radius {slack:.3g} < 0: some state is out of reach")
 
     sol = _column_generation(lp, m, N, options.opt_tol)
-    if sol.status is not SolveStatus.OPTIMAL:
-        return failure(sol.status, sol)
     result = sol.ip
+    if sol.status is not SolveStatus.OPTIMAL:
+        if sol.status is result.status:
+            reason = f"interior point returned {result.status.value} in round {sol.rounds}"
+        else:
+            reason = (f"pricing found no column with the gap open after a "
+                      f"{result.status.value} round (P - D = "
+                      f"{result.objective - sol.dual_objective:.3g})")
+        return failure(sol.status, reason, sol)
 
     U_raw = result.x
     overshoot = float(np.max(np.abs(U_raw))) - 1.0
     if overshoot > _OVERSHOOT:
-        return failure(SolveStatus.NUMERICAL_FAILURE, sol)
+        return failure(SolveStatus.NUMERICAL_FAILURE,
+                       f"interior-point control leaves the box by {overshoot:.3g}", sol)
     U_raw = np.clip(U_raw, -1.0, 1.0)
     x0_norm = float(np.linalg.norm(dp.x0))
 
@@ -422,9 +445,12 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
 
     terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U_final))
     objective = float(lp.w @ np.abs(U_final))
-    status = SolveStatus.OPTIMAL
-    if terminal_error > options.feas_tol * (1.0 + x0_norm):
+    status, reason = SolveStatus.OPTIMAL, ""
+    bound = options.feas_tol * (1.0 + x0_norm)
+    if terminal_error > bound:
         status = SolveStatus.NUMERICAL_FAILURE
+        reason = (f"terminal error {terminal_error:.3g} > feas_tol (1 + |x0|) = {bound:.3g}, "
+                  f"crossover {'applied' if applied else 'not applied'}")
 
     return SolveReport(
         status=status,
@@ -443,6 +469,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
         feasibility_slack=slack,
         polish_rounds=rounds,
         pricing_rounds=sol.rounds,
+        reason=reason,
     )
 
 

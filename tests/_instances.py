@@ -7,6 +7,8 @@ is nonnegative.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from handsoff import ControlProblem, PlantModel, build_reachability, zoh_discretize
@@ -168,3 +170,65 @@ def column_generation_draws():
                                        witness_scale=float(rng.uniform(0.3, 0.95)))
             if m * N > 2048:
                 yield f"r{seed}_{i}", problem
+
+
+def _exact_solve(A, b):
+    """x with A x = b in Fractions by Gauss-Jordan elimination; None if A is singular."""
+    n = len(b)
+    rows = [[Fraction(a) for a in A[i]] + [Fraction(b[i])] for i in range(n)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * c for a, c in zip(rows[i], rows[k])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_vertex_audit(lp, U):
+    """Certify a returned vertex of the L1 program ``lp`` in exact arithmetic.
+
+    Every float of M, b, w and U is taken exactly as a Fraction.  U may
+    have at most n fractional entries F (0 < |u| < 1); every other entry
+    is held at its level in {-1, 0, +1}.  The exact vertex solves
+    M_F u_F = b - sum_j M_j u_j over the held entries, and its costate
+    solves M_F^T y = w_F sign(u_F).  The vertex is optimal when |u_F| <= 1
+    and every column keeps the dead-zone law: |M_j^T y| <= w_j where
+    u_j = 0 and u_j M_j^T y >= w_j where |u_j| = 1 (it holds with
+    equality on F by construction).  A violation fails an assert.
+
+    Returns (F, exact u_F, exact objective w @ |u|), or None for a
+    degenerate vertex: fewer than n fractional entries, a singular M_F or
+    an exact u_F entry of 0, none of which fixes a costate.
+    """
+    M, b, w = lp.M, lp.b, lp.w
+    n, K = M.shape
+    U = np.asarray(U, dtype=float)
+    F = np.flatnonzero((U != 0.0) & (np.abs(U) != 1.0))
+    assert F.size <= n, f"{F.size} fractional entries: not a vertex"
+    if F.size < n:
+        return None
+    held = np.flatnonzero(np.abs(U) == 1.0)
+    rhs = [Fraction(float(b[i])) - sum(Fraction(float(M[i, j])) * int(U[j]) for j in held)
+           for i in range(n)]
+    u_F = _exact_solve([[float(M[i, j]) for j in F] for i in range(n)], rhs)
+    if u_F is None or 0 in u_F:
+        return None
+    assert all(abs(u) <= 1 for u in u_F), "exact vertex leaves the box"
+    sign = np.sign(U)
+    for j, u in zip(F, u_F):
+        sign[j] = 1.0 if u > 0 else -1.0
+    y = _exact_solve([[float(M[i, j]) for i in range(n)] for j in F],
+                     [Fraction(float(w[j])) * int(sign[j]) for j in F])
+    for j in range(K):
+        price = sum(Fraction(float(M[i, j])) * y[i] for i in range(n))
+        if sign[j] == 0.0:
+            assert abs(price) <= Fraction(float(w[j])), f"column {j} leaves the dead zone"
+        else:
+            assert price * int(sign[j]) >= Fraction(float(w[j])), f"column {j} under-priced"
+    objective = (sum(Fraction(float(w[j])) * abs(u) for j, u in zip(F, u_F))
+                 + sum(Fraction(float(w[j])) for j in held))
+    return F, u_F, objective

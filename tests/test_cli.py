@@ -76,6 +76,27 @@ def test_solve_rejects_bad_tolerance(capsys):
             assert "must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--input", PROBLEMS / "scalar_integrator.json"],
+     "sweep needs --sweep-T or --sweep-scale"),
+    (["simulate", "--input", PROBLEMS / "scalar_integrator.json", "--substeps", "0"],
+     "--substeps must be >= 1"),
+])
+def test_command_checks_its_own_flags(args, message, capsys):
+    assert run(args) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_plant_exits_1_with_one_error_line(tmp_path, capsys):
+    problem = tmp_path / "overflow.json"
+    problem.write_text(json.dumps({"A": [[40.0]], "B": [[1.0]], "x0": [0.01],
+                                   "T": 20.0, "N": 200}))
+    assert run(["solve", "--input", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflows" in err
+
+
 @pytest.mark.parametrize("args", [
     ["solve"],                                              # missing --input
     ["solve", "--input", PROBLEMS / "scalar_integrator.json", "--opt-tol", "abc"],

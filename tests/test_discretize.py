@@ -177,6 +177,17 @@ def test_reachability_by_doubling_matches_sequential_recursion(A, B, N):
     assert np.max(np.abs(dp.c - c)) <= 1e-12 * np.max(np.abs(c))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [40.0, 1e4])
+def test_reachability_overflow_is_one_typed_error(a):
+    # e^(20 a) overflows float64 in the doubling at a = 40 and inside the
+    # exponential at a = 1e4; either is NonFiniteInput, with no warning
+    problem = ControlProblem(plant=PlantModel(A=[[a]], B=[[1.0]]), x0=[0.01],
+                             T=20.0, N=200)
+    with pytest.raises(NonFiniteInput, match="overflows"):
+        build_reachability(problem)
+
+
 def test_reachability_memory_guard():
     p = ControlProblem(plant=PlantModel(A=[[0.0]], B=[[1.0]]), x0=[1.0],
                        T=1.0, N=10**7 + 1)

@@ -99,6 +99,20 @@ def test_non_finite_plant_rejected():
         scalar_problem(plant=PlantModel(A=[[np.nan]], B=[[1.0]]))
 
 
+@pytest.mark.parametrize("A, B, error", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), DimensionMismatch),  # A not square
+    (np.zeros((0, 0)), np.zeros((0, 1)), DimensionMismatch),  # no state
+    (np.zeros(2), np.zeros((2, 1)), DimensionMismatch),       # A not 2-D
+    (np.zeros((2, 2)), np.zeros((3, 1)), DimensionMismatch),  # B rows != n
+    (np.zeros((2, 2)), np.zeros((2, 0)), DimensionMismatch),  # no channel
+    (np.zeros((2, 2)), np.zeros(2), DimensionMismatch),       # B not 2-D
+    ([[0.0]], [[np.inf]], NonFiniteInput),
+])
+def test_plant_checks_itself_at_construction(A, B, error):
+    with pytest.raises(error):
+        PlantModel(A=A, B=B)
+
+
 def test_read_double_integrator_document():
     p = read_problem(DOUBLE_INTEGRATOR_DOC)
     assert p.plant.n == 2

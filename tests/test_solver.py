@@ -11,6 +11,7 @@ from handsoff import (
     ControlSignal,
     DimensionMismatch,
     HandsOffError,
+    NonFiniteInput,
     NonpositiveWeight,
     PlantModel,
     SolveStatus,
@@ -29,6 +30,7 @@ from _instances import (
     certified_rest_to_rest_fuel,
     column_generation_draws,
     double_integrator,
+    exact_vertex_audit,
     feasible_problem,
     priced_dual,
     scalar_integrator,
@@ -91,19 +93,22 @@ def test_certified_infeasible_instance():
     assert report.status is SolveStatus.INFEASIBLE
     assert report.signal is None
     assert report.feasibility_slack < 0
+    assert report.reason.startswith("feasibility radius")
 
 
 def test_lp_detected_infeasibility_without_certificate():
     # row slacks are nonnegative here but the rows are jointly unreachable
     problem = double_integrator([-1.9, 1.95], 2.0, 4)
-    assert solve(problem).status is SolveStatus.INFEASIBLE
+    report = solve(problem)
+    assert report.status is SolveStatus.INFEASIBLE
+    assert report.reason.startswith("interior point returned infeasible")
 
 
 def test_double_integrator_matches_simplex_reference():
     problem = double_integrator([1.0, 0.0], 10.0, 100)
     report = solve(problem)
     ref = fuel_reference(problem)
-    assert report.status is SolveStatus.OPTIMAL
+    assert report.status is SolveStatus.OPTIMAL and report.reason == ""
     assert report.objective == pytest.approx(ref.fun, abs=1e-6 * (1 + ref.fun))
 
 
@@ -241,6 +246,59 @@ def test_unstable_plant_solves():
         assert report.status is SolveStatus.OPTIMAL
         assert report.terminal_error <= 1e-6 * (1 + x0)
         assert np.max(np.abs(report.signal.U)) <= 1.0 + 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unstable_plant_past_float64_is_a_typed_error():
+    # x' = a x + u over T = 20: Ad^N = e^(20 a) overflows at a = 40, and
+    # the solve raises before any LP is built; a = 20 (e^400) still solves
+    def problem(a):
+        return ControlProblem(plant=PlantModel(A=[[a]], B=[[1.0]]), x0=[0.01],
+                              T=20.0, N=200)
+    with pytest.raises(NonFiniteInput, match="overflows"):
+        solve(problem(40.0))
+    report = solve(problem(20.0))
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.objective == pytest.approx(0.0231304, rel=1e-5)
+
+
+def test_terminal_check_names_itself():
+    # at a = 5, T = 20 the interior point's control misses the origin by
+    # e^100-sized roundoff; without the crossover the terminal check fails
+    problem = ControlProblem(plant=PlantModel(A=[[5.0]], B=[[1.0]]), x0=[0.1],
+                             T=20.0, N=200)
+    report = solve(problem, SolverOptions(polish=False))
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.terminal_error > 1e20
+    assert report.reason.startswith("terminal error")
+    assert report.reason.endswith("crossover not applied")
+
+
+@pytest.mark.parametrize("field", ["opt_tol", "feas_tol", "sparsity_threshold"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+def test_solver_options_check_themselves(field, value):
+    with pytest.raises(HandsOffError, match="must be finite and positive"):
+        SolverOptions(**{field: value})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: double_integrator([1.0, 0.0], 10.0, 100),
+    lambda: feasible_problem(np.random.default_rng(808), 4, 2, 500, T=1.0),
+], ids=["double_integrator", "n4_m2_N500"])
+def test_returned_vertex_is_optimal_in_exact_arithmetic(make):
+    # the crossover's vertex, re-solved and priced in rational arithmetic
+    # on the same float data, is the float control to roundoff and its
+    # costate keeps the dead-zone law on every column
+    problem = make()
+    dp = build_reachability(problem)
+    report = solve_discretized(dp, problem.weights)
+    assert report.status is SolveStatus.OPTIMAL and report.polish_applied
+    audit = exact_vertex_audit(build_lp(dp, problem.weights), report.signal.U)
+    if audit is None:
+        pytest.skip("degenerate vertex: fewer than n fractional entries")
+    F, u_F, objective = audit
+    assert max(abs(report.signal.U[j] - float(u)) for j, u in zip(F, u_F)) <= 1e-12
+    assert report.objective == pytest.approx(float(objective), rel=1e-12)
 
 
 def test_solve_is_deterministic():
@@ -618,6 +676,7 @@ def test_open_gap_is_never_reported_optimal(monkeypatch):
         assert report.status is SolveStatus.NUMERICAL_FAILURE
         assert report.signal is None
         assert report.lp_objective - report.dual_objective > bias * (1.0 - 1e-6)
+        assert report.reason.startswith("pricing found no column with the gap open")
         assert tols == [1e-8] * rounds
         assert report.pricing_rounds == len(tols)
 
@@ -644,6 +703,7 @@ def test_overshoot_is_rejected_without_a_re_solve(overshooting_calls, monkeypatc
     monkeypatch.setattr(handsoff.solver, "solve_ip", overshooting)
     report = solve(double_integrator([1.0, 0.0], 10.0, 100))
     assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.reason.startswith("interior-point control leaves the box")
     assert tols == [1e-8]
     assert report.pricing_rounds == 1
 
