@@ -48,6 +48,12 @@ program when b @ y > sum_j |Phi_j^T y| over all columns; otherwise the
 columns with the largest |Phi_j^T y| join.  The crossover runs on the
 last round's program.  The reported ``lp_objective`` and
 ``dual_objective`` are P and D.
+
+One check decides the returned control: on the full program, its fuel is
+within opt_tol * (1 + |fuel|) of D, the loop's stop, and its terminal
+error ||c + Phi U|| is at most feas_tol * (1 + |x0|).  The crossover's
+vertex is kept only if it passes; otherwise the interior point's control
+is checked, and the check that it fails names a numerical failure.
 """
 
 from __future__ import annotations
@@ -58,12 +64,9 @@ import numpy as np
 
 from .discretize import DiscretizedPlant, build_reachability, feasibility_radius
 from .errors import HandsOffError
-from .interior_point import IPResult, L1Program, SolveStatus, solve_ip
+from .interior_point import _BAND, IPResult, L1Program, SolveStatus, solve_ip
 from .model import ControlProblem, ControlSignal, validate_weights
 
-# Fuel a crossover vertex may add over the interior point and still be
-# accepted, relative to 1 + |fuel|.
-_ACCEPT = 1e-7
 # A null direction whose fuel slope is below this fraction of its
 # absolute fuel weight is flat: its sign is roundoff, not a fuel change.
 _FLAT = 1e-12
@@ -120,7 +123,9 @@ class SolveReport:
     the endgame steps of ``solve_ip`` included, and ``pricing_rounds``
     counts the rounds (``solve_ip`` calls), the coarse round included.
     ``reason`` names the check that chose a status other than optimal,
-    and is empty for an optimal one.
+    and is empty for an optimal one.  ``polish_applied`` says that the
+    crossover's vertex passed the final check and is the signal.  The
+    sparsity threshold changes ``unpolished_support`` only.
     """
 
     status: SolveStatus
@@ -166,17 +171,16 @@ def _first_block(u: np.ndarray, d: np.ndarray) -> tuple[float, int, bool]:
     return float(ratio[i]), i, bool(shrinks[i])
 
 
-def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
-                     options: SolverOptions = SolverOptions(), *,
-                     rhs_scale: float) -> tuple[np.ndarray, bool, int]:
+def polish_to_vertex(lp: L1Program, interior_U: np.ndarray) -> tuple[np.ndarray, bool, int]:
     """Purify an optimal-face point to a vertex of that face, with no LP.
 
-    Entries within ``sparsity_threshold`` of a level in {-1, 0, +1} are
-    snapped to it; the rest are fractional.  The interior point lies in
-    the relative interior of the optimal face, so moving the fractional
-    entries along a null vector d of their columns of Phi keeps the
-    terminal equality and changes the fuel linearly.  Every step never
-    goes the way that raises the fuel and pins one entry at its level.
+    Entries within the interior point's endgame band ``_BAND`` of a level
+    in {-1, 0, +1} are snapped to it; the rest are fractional.  The
+    interior point lies in the relative interior of the optimal face, so
+    moving the fractional entries along a null vector d of their columns
+    of Phi keeps the terminal equality and changes the fuel linearly.
+    Every step never goes the way that raises the fuel and pins one entry
+    at its level.
 
     Fractional entries enter in decreasing |u| order (Bixby & Saltzman
     1994), so the largest are held longest and the many small ones are
@@ -192,21 +196,17 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
     roundoff.
 
     Returns (control, accepted, steps), steps counting the entries
-    pinned.  The vertex is accepted only if it stays within the bounds,
-    its fuel is at most the interior point's plus the acceptance slack,
-    and it keeps the terminal equality to ``feas_tol * (1 + rhs_scale)``;
-    otherwise the caller falls back to ``interior_U``.
+    pinned.  ``accepted`` says that the restore left the vertex in the
+    box; the control is then the vertex, clipped to it, and otherwise
+    ``interior_U``.  The solve's final check decides whether it is kept.
     """
-    Phi = lp.M
-    cost = lp.w
+    Phi, cost = lp.M, lp.w
     n = Phi.shape[0]
     U0 = np.asarray(interior_U, dtype=float)
-    J0 = float(cost @ np.abs(U0))
-    thr = options.sparsity_threshold
     rank_tol = n * np.finfo(float).eps  # relative to the largest singular value
 
-    U = np.where(np.abs(U0) <= thr, 0.0, U0)
-    U = np.where(np.abs(U) >= 1.0 - thr, np.sign(U), U)
+    U = np.where(np.abs(U0) <= _BAND, 0.0, U0)
+    U = np.where(np.abs(U) >= 1.0 - _BAND, np.sign(U), U)
     frac = np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0))
     pending = frac[np.argsort(-np.abs(U[frac]), kind="stable")].tolist()
     p = 0  # pending[:p] have entered
@@ -241,12 +241,9 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray,
         rhs = lp.b - Phi @ U + Phi[:, S] @ U[S]
         U[S] = np.linalg.lstsq(Phi[:, S], rhs, rcond=None)[0]
 
-    within = float(np.max(np.abs(U), initial=0.0)) <= 1.0 + _OVERSHOOT
-    U = np.clip(U, -1.0, 1.0)
-    ok = (within
-          and float(cost @ np.abs(U)) <= J0 + _ACCEPT * (1.0 + abs(J0))
-          and float(np.linalg.norm(Phi @ U - lp.b)) <= options.feas_tol * (1.0 + rhs_scale))
-    return (U, True, steps) if ok else (U0, False, steps)
+    if float(np.max(np.abs(U), initial=0.0)) > 1.0 + _OVERSHOOT:
+        return U0, False, steps
+    return np.clip(U, -1.0, 1.0), True, steps
 
 
 @dataclass(frozen=True)
@@ -381,94 +378,77 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     """Pre-check, solve, crossover and report on already discretized data.
 
     For callers that hold ``build_reachability(problem)`` and reuse it;
-    ``weights`` are the problem's per-channel weights.  The crossover runs
-    on the last round's program and its control is scattered into the
-    full U.  The reported objective is always recomputed from the returned
-    signal as h * sum lambda |u|, and the terminal error is the Euclidean
-    norm of c + Phi @ U.
+    ``weights`` are the problem's per-channel weights.  The crossover's
+    vertex, scattered into the full U, and then the interior point's
+    control face the check of the module docstring once each; the first
+    that passes is returned, and a failing interior control is reported.
+    The objective is h * sum lambda |u| of that control, and the terminal
+    error is the Euclidean norm of c + Phi @ U, inf past float64.
     """
     slack = feasibility_radius(dp)
-    m, N, h = dp.m, dp.N, dp.h
-
-    def failure(status, reason: str, sol: _L1Solve | None = None):
-        ip = sol.ip if sol else None
-        return SolveReport(
-            status=status,
-            objective=float("nan"),
-            lp_objective=ip.objective if ip else float("nan"),
-            dual_objective=sol.dual_objective if sol else float("nan"),
-            primal_residual=ip.primal_residual if ip else float("nan"),
-            dual_residual=ip.dual_residual if ip else float("nan"),
-            gap_residual=ip.gap_residual if ip else float("nan"),
-            iterations=sol.iterations if sol else 0,
-            signal=None,
-            unpolished_support=0,
-            terminal_error=float("nan"),
-            polish_applied=False,
-            feasibility_slack=slack,
-            pricing_rounds=sol.rounds if sol else 0,
-            reason=reason,
-        )
-
     lp = build_lp(dp, weights)
+    nan = objective = terminal_error = float("nan")
+    sol = ip = U = U_raw = None
+    applied, pins = False, 0
     if slack < 0:
-        return failure(SolveStatus.INFEASIBLE,
-                       f"feasibility radius {slack:.3g} < 0: some state is out of reach")
-
-    sol = _column_generation(lp, m, N, options.opt_tol)
-    result = sol.ip
-    if sol.status is not SolveStatus.OPTIMAL:
-        if sol.status is result.status:
-            reason = f"interior point returned {result.status.value} in round {sol.rounds}"
+        status = SolveStatus.INFEASIBLE
+        reason = f"feasibility radius {slack:.3g} < 0: some state is out of reach"
+    else:
+        sol = _column_generation(lp, dp.m, dp.N, options.opt_tol)
+        ip, status = sol.ip, sol.status
+        if status is not SolveStatus.OPTIMAL:
+            if status is ip.status:
+                reason = f"interior point returned {ip.status.value} in round {sol.rounds}"
+            else:
+                reason = (f"pricing found no column with the gap open after a {ip.status.value} "
+                          f"round (P - D = {ip.objective - sol.dual_objective:.3g})")
+        elif (overshoot := float(np.max(np.abs(ip.x))) - 1.0) > _OVERSHOOT:
+            status = SolveStatus.NUMERICAL_FAILURE
+            reason = f"interior-point control leaves the box by {overshoot:.3g}"
         else:
-            reason = (f"pricing found no column with the gap open after a "
-                      f"{result.status.value} round (P - D = "
-                      f"{result.objective - sol.dual_objective:.3g})")
-        return failure(sol.status, reason, sol)
-
-    U_raw = result.x
-    overshoot = float(np.max(np.abs(U_raw))) - 1.0
-    if overshoot > _OVERSHOOT:
-        return failure(SolveStatus.NUMERICAL_FAILURE,
-                       f"interior-point control leaves the box by {overshoot:.3g}", sol)
-    U_raw = np.clip(U_raw, -1.0, 1.0)
-    x0_norm = float(np.linalg.norm(dp.x0))
-
-    rounds = 0
-    applied = False
-    U_sub = U_raw
-    if options.polish:
-        U_sub, applied, rounds = polish_to_vertex(
-            sol.lp, U_raw, options, rhs_scale=x0_norm)
-    U_final = np.zeros(m * N)
-    U_final[sol.cols] = U_sub
-
-    terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U_final))
-    objective = float(lp.w @ np.abs(U_final))
-    status, reason = SolveStatus.OPTIMAL, ""
-    bound = options.feas_tol * (1.0 + x0_norm)
-    if terminal_error > bound:
-        status = SolveStatus.NUMERICAL_FAILURE
-        reason = (f"terminal error {terminal_error:.3g} > feas_tol (1 + |x0|) = {bound:.3g}, "
-                  f"crossover {'applied' if applied else 'not applied'}")
+            U_raw = np.clip(ip.x, -1.0, 1.0)
+            candidates = [U_raw]
+            if options.polish:
+                vertex, kept, pins = polish_to_vertex(sol.lp, U_raw)
+                candidates = [vertex, U_raw] if kept else candidates
+            bound = options.feas_tol * (1.0 + float(np.linalg.norm(dp.x0)))
+            U = np.zeros(dp.m * dp.N)
+            for U_sub in candidates:
+                U[sol.cols] = U_sub
+                with np.errstate(over="ignore"):
+                    terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U))
+                objective = float(lp.w @ np.abs(U))
+                gap, tol = objective - sol.dual_objective, options.opt_tol * (1.0 + abs(objective))
+                if not terminal_error <= bound:
+                    reason = (f"terminal error {terminal_error:.3g} > "
+                              f"feas_tol (1 + |x0|) = {bound:.3g}")
+                elif gap > tol:
+                    reason = f"fuel - D = {gap:.3g} > opt_tol (1 + |fuel|) = {tol:.3g}"
+                else:
+                    reason = ""
+                    break
+            applied = U_sub is not U_raw and not reason
+            if reason:
+                status = SolveStatus.NUMERICAL_FAILURE
+                reason += ", crossover not applied"
 
     return SolveReport(
         status=status,
         objective=objective,
-        lp_objective=result.objective,
-        dual_objective=sol.dual_objective,
-        primal_residual=result.primal_residual,
-        dual_residual=result.dual_residual,
-        gap_residual=result.gap_residual,
-        iterations=sol.iterations,
-        signal=ControlSignal(U=U_final, h=h, m=m, N=N),
-        unpolished_support=int(np.count_nonzero(
+        lp_objective=ip.objective if ip else nan,
+        dual_objective=sol.dual_objective if sol else nan,
+        primal_residual=ip.primal_residual if ip else nan,
+        dual_residual=ip.dual_residual if ip else nan,
+        gap_residual=ip.gap_residual if ip else nan,
+        iterations=sol.iterations if sol else 0,
+        signal=None if U is None else ControlSignal(U=U, h=dp.h, m=dp.m, N=dp.N),
+        unpolished_support=0 if U_raw is None else int(np.count_nonzero(
             np.abs(U_raw) > options.sparsity_threshold)),
         terminal_error=terminal_error,
         polish_applied=applied,
         feasibility_slack=slack,
-        polish_rounds=rounds,
-        pricing_rounds=sol.rounds,
+        polish_rounds=pins,
+        pricing_rounds=sol.rounds if sol else 0,
         reason=reason,
     )
 

@@ -214,7 +214,7 @@ def test_polish_to_vertex_direct_call_on_unique_optimum():
     lp = build_lp(dp, np.array([1.0]))
     report = solve(problem, SolverOptions(polish=False))
     U0 = report.signal.U
-    U, accepted, _ = polish_to_vertex(lp, U0, rhs_scale=np.linalg.norm(dp.x0))
+    U, accepted, _ = polish_to_vertex(lp, U0)
     assert accepted
     assert np.allclose(U, U0, atol=1e-6)
 
@@ -272,6 +272,66 @@ def test_terminal_check_names_itself():
     assert report.terminal_error > 1e20
     assert report.reason.startswith("terminal error")
     assert report.reason.endswith("crossover not applied")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("polish", [True, False])
+@pytest.mark.parametrize("a", [32.0, 35.0])
+def test_terminal_norm_past_float64_fails_without_a_warning(a, polish):
+    # x' = a x + u over T = 20: the data stay finite, but the norm of the
+    # terminal residual overflows; it reads inf and fails the check
+    problem = ControlProblem(plant=PlantModel(A=[[a]], B=[[1.0]]), x0=[0.01],
+                             T=20.0, N=200)
+    report = solve(problem, SolverOptions(polish=polish))
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.terminal_error == np.inf
+    assert report.reason.startswith("terminal error inf > ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unstable_plant_below_the_norm_overflow_solves():
+    # at a = 30 the entries reach e^600 and the norm still stays finite
+    problem = ControlProblem(plant=PlantModel(A=[[30.0]], B=[[1.0]]), x0=[0.01],
+                             T=20.0, N=200)
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL and report.polish_applied
+
+
+@pytest.mark.parametrize("threshold", [0.02, 1e-9])
+def test_sparsity_threshold_changes_only_the_report(threshold):
+    # the crossover snaps at the interior point's band, so a threshold
+    # above the +-1/97 entries of this optimum leaves the vertex alone
+    problem = double_integrator([1.0, 0.0], 10.0, 100)
+    default = solve(problem)
+    report = solve(problem, SolverOptions(sparsity_threshold=threshold))
+    assert report.status is default.status is SolveStatus.OPTIMAL
+    assert report.polish_applied and default.polish_applied
+    assert np.array_equal(report.signal.U, default.signal.U)
+    assert report.objective == default.objective == 0.20206185567010201
+    assert report.polish_rounds == default.polish_rounds
+    unpolished = solve(problem, SolverOptions(polish=False)).signal.U
+    assert report.unpolished_support == _support(unpolished, threshold)
+
+
+@pytest.mark.parametrize("fake", ["extra_fuel", "misses_target"])
+def test_final_check_not_the_crossover_decides(fake, monkeypatch):
+    # a vertex the crossover calls accepted is still judged by the check:
+    # one of fuel 1.5 (the optimum is 1.0) and one off the target both
+    # give way to the interior point's control
+    import handsoff.solver
+
+    problem = scalar_integrator(1.0, 2.0, 8)
+    interior = solve(problem, SolverOptions(polish=False))
+    if fake == "extra_fuel":
+        V = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 0.0, 0.0])
+    else:
+        V = interior.signal.U.copy()
+        V[0] -= 0.1
+    monkeypatch.setattr(handsoff.solver, "polish_to_vertex", lambda *args, **kwargs: (V, True, 3))
+    report = solve(problem)
+    assert report.status is SolveStatus.OPTIMAL
+    assert not report.polish_applied
+    assert np.array_equal(report.signal.U, interior.signal.U)
 
 
 @pytest.mark.parametrize("field", ["opt_tol", "feas_tol", "sparsity_threshold"])
@@ -459,8 +519,8 @@ def test_crossover_invariants(make, working_set, at_vertex, monkeypatch):
     assert frac.size <= n
     assert np.linalg.matrix_rank(lp.M[:, frac]) == frac.size
     assert report.polish_rounds == before - frac.size
-    J0 = float(lp.w @ np.abs(U0))
-    assert float(lp.w @ np.abs(U)) <= J0 + handsoff.solver._ACCEPT * (1.0 + abs(J0))
+    J = float(lp.w @ np.abs(U))
+    assert J - report.dual_objective <= SolverOptions().opt_tol * (1.0 + J)
     assert report.objective == pytest.approx(fuel_reference(problem).fun, rel=1e-8)
 
 
