@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, compare, sweep, verify-equivalence, simulate.
-Result documents are JSON with a fixed schema version; trajectory CSVs
-are plot-ready.  Exit codes: 0 success (or equivalence agreement),
+Each command returns its problem, its result fields and its exit code;
+``main`` times the command and writes the one JSON result document, with
+a fixed schema version, for every command.  Trajectory CSVs are
+plot-ready.  Exit codes: 0 success (or equivalence agreement),
 1 error (usage errors included), 2 infeasible, 3 equivalence disagreement.
 """
 
@@ -38,6 +40,8 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_DISAGREE = 3
 
+_Outcome = tuple[ControlProblem, dict, int]  # problem, result fields, exit code
+
 
 def _json_safe(value):
     if isinstance(value, float):
@@ -53,12 +57,21 @@ def _json_safe(value):
     return value
 
 
-def _emit(document: dict, out_path: Path | None) -> None:
+def _emit(args: argparse.Namespace, problem: ControlProblem, fields: dict,
+          started: float) -> None:
+    document = {
+        "schema": SCHEMA,
+        "command": args.subcommand,
+        "problem": {"n": problem.plant.n, "m": problem.plant.m, "N": int(problem.N),
+                    "T": problem.T, "h": problem.h},
+        **fields,
+        "wall_time_sec": time.perf_counter() - started,
+    }
     text = json.dumps(_json_safe(document), indent=2, sort_keys=True) + "\n"
-    if out_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        out_path.write_text(text)
+        args.out.write_text(text)
 
 
 def _sparsity_doc(signal: ControlSignal, threshold: float) -> dict:
@@ -93,16 +106,6 @@ def _solve_doc(report, threshold: float) -> dict:
     return doc
 
 
-def _problem_doc(problem: ControlProblem) -> dict:
-    return {
-        "n": problem.plant.n,
-        "m": problem.plant.m,
-        "N": int(problem.N),
-        "T": problem.T,
-        "h": problem.h,
-    }
-
-
 def _status_exit(status: SolveStatus) -> int:
     if status is SolveStatus.OPTIMAL:
         return EXIT_OK
@@ -125,42 +128,28 @@ def _solve_input(path: Path, options: SolverOptions, substeps: int | None = None
     return problem, dp, solve_discretized(dp, problem.weights, options)
 
 
-def cmd_solve(args: argparse.Namespace, options: SolverOptions) -> int:
-    started = time.perf_counter()
+def cmd_solve(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
     problem, dp, report = _solve_input(args.input, options)
-    document = {
-        "schema": SCHEMA,
-        "command": "solve",
-        "problem": _problem_doc(problem),
-        **_solve_doc(report, options.sparsity_threshold),
-        "wall_time_sec": time.perf_counter() - started,
-    }
     if report.signal is not None and args.csv is not None:
         traj = simulate_discrete(dp, report.signal, problem.x0)
         args.csv.write_text(write_signal(report.signal, traj))
-    _emit(document, args.out)
-    return _status_exit(report.status)
+    return (problem, _solve_doc(report, options.sparsity_threshold),
+            _status_exit(report.status))
 
 
-def cmd_compare(args: argparse.Namespace, options: SolverOptions) -> int:
-    started = time.perf_counter()
+def cmd_compare(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
     problem, dp, report = _solve_input(args.input, options)
-    document = {
-        "schema": SCHEMA,
-        "command": "compare",
-        "problem": _problem_doc(problem),
-        "l1": _solve_doc(report, options.sparsity_threshold),
-    }
+    fields = {"l1": _solve_doc(report, options.sparsity_threshold)}
     try:
         baseline, violated = min_energy_baseline(dp)
-        document["min_energy"] = {
+        fields["min_energy"] = {
             "status": "ok",
             "bound_violation": violated,
             "sparsity": _sparsity_doc(baseline, options.sparsity_threshold),
         }
     except RankDeficient as exc:
         baseline = None
-        document["min_energy"] = {"status": "rank_deficient", "message": str(exc)}
+        fields["min_energy"] = {"status": "rank_deficient", "message": str(exc)}
     if args.csv is not None:
         if report.signal is not None:
             traj = simulate_discrete(dp, report.signal, problem.x0)
@@ -169,9 +158,7 @@ def cmd_compare(args: argparse.Namespace, options: SolverOptions) -> int:
             twin = args.csv.with_name(args.csv.stem + "_min_energy.csv")
             traj = simulate_discrete(dp, baseline, problem.x0)
             twin.write_text(write_signal(baseline, traj))
-    document["wall_time_sec"] = time.perf_counter() - started
-    _emit(document, args.out)
-    return _status_exit(report.status)
+    return problem, fields, _status_exit(report.status)
 
 
 def _sweep_instance(problem: ControlProblem, key: str, value: float) -> ControlProblem:
@@ -188,10 +175,9 @@ def _sweep_instance(problem: ControlProblem, key: str, value: float) -> ControlP
     return dataclasses.replace(problem, weights=problem.weights * value)
 
 
-def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> int:
+def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
     if not (args.sweep_T or args.sweep_scale):
         raise HandsOffError("sweep needs --sweep-T or --sweep-scale")
-    started = time.perf_counter()
     problem = read_problem(args.input.read_text())
     key, grid = ("T", args.sweep_T) if args.sweep_T else ("scale", args.sweep_scale)
     rows = []
@@ -215,26 +201,13 @@ def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> int:
         values = [r["objective"] for r in rows if r.get("status") == "optimal"]
         nonincreasing = all(b <= a + 1e-12 * max(1.0, abs(a))
                             for a, b in zip(values, values[1:]))
-    document = {
-        "schema": SCHEMA,
-        "command": "sweep",
-        "problem": _problem_doc(problem),
-        "rows": rows,
-        "objective_nonincreasing": nonincreasing,
-        "wall_time_sec": time.perf_counter() - started,
-    }
-    _emit(document, args.out)
-    return EXIT_OK
+    return problem, {"rows": rows, "objective_nonincreasing": nonincreasing}, EXIT_OK
 
 
-def cmd_verify_equivalence(args: argparse.Namespace, options: SolverOptions) -> int:
-    started = time.perf_counter()
+def cmd_verify_equivalence(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
     problem = read_problem(args.input.read_text())
     equivalence, report = analysis.verify_equivalence(problem, options)
-    document = {
-        "schema": SCHEMA,
-        "command": "verify-equivalence",
-        "problem": _problem_doc(problem),
+    fields = {
         "agree": equivalence.agree,
         "l1_support": equivalence.l1_support,
         "l1_support_unpolished": report.unpolished_support,
@@ -245,32 +218,23 @@ def cmd_verify_equivalence(args: argparse.Namespace, options: SolverOptions) -> 
         "witness_supports": [list(s) for s in equivalence.witness_supports],
         "polish_applied": report.polish_applied,
         "iterations": report.iterations,
-        "wall_time_sec": time.perf_counter() - started,
     }
-    _emit(document, args.out)
-    return EXIT_OK if equivalence.agree else EXIT_DISAGREE
+    return problem, fields, EXIT_OK if equivalence.agree else EXIT_DISAGREE
 
 
-def cmd_simulate(args: argparse.Namespace, options: SolverOptions) -> int:
+def cmd_simulate(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
     substeps = args.substeps
     if substeps < 1:
         raise HandsOffError("--substeps must be >= 1")
-    started = time.perf_counter()
     problem, dp, report = _solve_input(args.input, options, substeps)
-    document = {
-        "schema": SCHEMA,
-        "command": "simulate",
-        "problem": _problem_doc(problem),
-        **_solve_doc(report, options.sparsity_threshold),
-        "substeps": substeps,
-    }
+    fields = {**_solve_doc(report, options.sparsity_threshold), "substeps": substeps}
     if report.signal is not None:
         coarse = simulate_discrete(dp, report.signal, problem.x0)
         fine = simulate_continuous(problem.plant, report.signal, problem.x0, substeps)
         grid = fine[::substeps]
-        document["discrete_terminal_error"] = float(np.linalg.norm(coarse[-1]))
-        document["continuous_terminal_error"] = float(np.linalg.norm(fine[-1]))
-        document["max_gridpoint_gap"] = float(np.max(np.abs(grid - coarse)))
+        fields["discrete_terminal_error"] = float(np.linalg.norm(coarse[-1]))
+        fields["continuous_terminal_error"] = float(np.linalg.norm(fine[-1]))
+        fields["max_gridpoint_gap"] = float(np.max(np.abs(grid - coarse)))
         if args.csv is not None:
             fine_signal = ControlSignal(
                 U=np.repeat(report.signal.as_steps(), substeps, axis=0).ravel(),
@@ -279,9 +243,7 @@ def cmd_simulate(args: argparse.Namespace, options: SolverOptions) -> int:
                 N=report.signal.N * substeps,
             )
             args.csv.write_text(write_signal(fine_signal, fine))
-    document["wall_time_sec"] = time.perf_counter() - started
-    _emit(document, args.out)
-    return _status_exit(report.status)
+    return problem, fields, _status_exit(report.status)
 
 
 _COMMANDS = {
@@ -347,7 +309,10 @@ def main(argv: list[str] | None = None) -> int:
         options = SolverOptions(opt_tol=args.opt_tol, feas_tol=args.feas_tol,
                                 sparsity_threshold=args.threshold,
                                 polish=not args.no_polish)
-        return _COMMANDS[args.subcommand](args, options)
+        started = time.perf_counter()
+        problem, fields, code = _COMMANDS[args.subcommand](args, options)
+        _emit(args, problem, fields, started)
+        return code
     except (HandsOffError, OSError) as exc:
         print(f"handsoff: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

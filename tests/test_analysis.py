@@ -505,3 +505,19 @@ def test_verify_equivalence_certifies_overdetermined_support():
 def test_verify_equivalence_bound():
     with pytest.raises(ExhaustiveBoundExceeded):
         verify_equivalence(scalar_integrator(1.0, 2.0, 30))
+
+
+def test_verify_equivalence_needs_an_optimal_solve(monkeypatch):
+    import handsoff.solver
+
+    def failing(lp, *args, **kwargs):
+        nan = float("nan")
+        return handsoff.solver.IPResult(handsoff.solver.SolveStatus.NUMERICAL_FAILURE,
+                                        None, None, nan, nan, nan, nan, 3)
+
+    monkeypatch.setattr(handsoff.solver, "solve_ip", failing)
+    with pytest.raises(handsoff.HandsOffError) as raised:
+        verify_equivalence(double_integrator([1.0, 0.0], 5.0, 8))
+    assert str(raised.value) == (
+        "equivalence check needs an optimal solve, got numerical_failure: "
+        "interior point returned numerical_failure in round 1")

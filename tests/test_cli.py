@@ -361,3 +361,18 @@ def test_solve_matches_committed_golden_document(tmp_path):
     got.pop("wall_time_sec")
     expected.pop("wall_time_sec")
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numerical_failure_exits_1_and_still_writes_its_document(tmp_path):
+    # x' = 32x + u stays finite over T = 20, but the norm of its terminal
+    # residual overflows
+    problem = tmp_path / "a32.json"
+    problem.write_text(json.dumps({"A": [[32.0]], "B": [[1.0]], "x0": [0.01],
+                                   "T": 20.0, "N": 200}))
+    out = tmp_path / "a32.result.json"
+    assert run(["solve", "--input", problem, "--out", out]) == 1
+    doc = load(out)
+    assert doc["status"] == "numerical_failure"
+    assert doc["terminal_error"] is None
+    assert doc["wall_time_sec"] >= 0

@@ -315,3 +315,19 @@ def test_feasible_fixed_support_fuel_program_is_solved(instance, support):
     res = solve_ip(L1Program(M, -dp.c, w), tol=1e-9)
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
+def test_nonfinite_first_step_is_a_numerical_failure(monkeypatch):
+    # with no iterate kept yet, a step that is not finite ends the solve
+    problem = feasible_problem(np.random.default_rng(808), 4, 2, 500, T=1.0)
+    lp = build_lp(build_reachability(problem), problem.weights)
+
+    def failing(G, theta):
+        solve = _make_kkt_solver(G, theta)
+        return lambda r1, r2: tuple(np.nan * part for part in solve(r1, r2))
+
+    monkeypatch.setattr(interior_point, "_make_kkt_solver", failing)
+    res = solve_ip(lp)
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert res.iterations == 1
+    assert res.x is None

@@ -915,3 +915,49 @@ def test_zero_state_column_generation_falls_back_to_every_rth_slot(monkeypatch):
     assert report.status is SolveStatus.OPTIMAL
     assert report.objective == pytest.approx(0.0, abs=1e-9)
     assert [lp.M.shape[1] for lp, _ in rounds] == [250, 1501]
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_crossover_flat_tie_break_pins_an_entry_at_zero(negate, monkeypatch):
+    # the null direction (1, 1, -1) of M is flat under w: one way first
+    # pushes entry 0 to 1, the other first pushes entry 1 to 0; the step
+    # goes the way that reaches 0, whichever sign the SVD gives d
+    from handsoff.interior_point import L1Program
+
+    if negate:
+        svd = np.linalg.svd
+
+        def negated(a, *args, **kwargs):
+            u, s, vt = svd(a, *args, **kwargs)
+            return u, s, -vt
+        monkeypatch.setattr(np.linalg, "svd", negated)
+    M = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    interior = np.array([0.95, 0.5, 0.3])
+    lp = L1Program(M, M @ interior, np.array([1.0, 1.0, 2.0]))
+    U, accepted, steps = polish_to_vertex(lp, interior)
+    assert accepted and steps == 1
+    assert U == pytest.approx([0.45, 0.0, 0.8], abs=1e-12)
+
+
+def test_failed_fine_round_ends_the_pricing_loop(monkeypatch):
+    # a fine round that ends without a verdict ends the loop with its
+    # status, and the report says which round it was
+    import handsoff.solver
+
+    original = handsoff.solver.solve_ip
+    rounds = []
+
+    def failing_second(lp, *args, **kwargs):
+        rounds.append(lp)
+        if len(rounds) == 2:
+            nan = float("nan")
+            return handsoff.solver.IPResult(SolveStatus.ITERATION_LIMIT, None, None,
+                                            nan, nan, nan, nan, 200)
+        return original(lp, *args, **kwargs)
+
+    monkeypatch.setattr(handsoff.solver, "solve_ip", failing_second)
+    report = solve(feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0))
+    assert report.status is SolveStatus.ITERATION_LIMIT
+    assert report.reason == "interior point returned iteration_limit in round 2"
+    assert report.pricing_rounds == 2
+    assert report.signal is None
