@@ -49,11 +49,15 @@ columns with the largest |Phi_j^T y| join.  The crossover runs on the
 last round's program.  The reported ``lp_objective`` and
 ``dual_objective`` are P and D.
 
-One check decides the returned control: on the full program, its fuel is
-within opt_tol * (1 + |fuel|) of D, the loop's stop, and its terminal
-error ||c + Phi U|| is at most feas_tol * (1 + |x0|).  The crossover's
-vertex is kept only if it passes; otherwise the interior point's control
-is checked, and the check that it fails names a numerical failure.
+One check decides the returned control.  Each candidate is clipped into
+the box |u| <= 1 and judged on the full program: its terminal error
+||c + Phi U|| is at most feas_tol * (1 + |x0|), and its fuel is within
+opt_tol * (1 + |fuel|) of D on either side.  D bounds the fuel of every
+exactly feasible control from below, so a fuel above it is the loop's
+open gap, and a fuel below it was paid for with terminal error, not
+found in a cheaper control.  The crossover's vertex is kept only if it
+passes; otherwise the interior point's control is checked, and the check
+that it fails names a numerical failure.
 """
 
 from __future__ import annotations
@@ -81,9 +85,6 @@ _HELD = 1e-9
 # A column leaves the working set once an optimal round's costate puts it
 # this deep in the dead zone: |Phi_j^T y| <= (1 - _DEEP) w_j.
 _DEEP = 0.01
-# How far a control may leave the box |u| <= 1 and still be clipped to it
-# rather than rejected; the interior point stays inside to roundoff.
-_OVERSHOOT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -196,16 +197,16 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray) -> tuple[np.ndarray,
     roundoff.
 
     Returns (control, accepted, steps), steps counting the entries
-    pinned.  ``accepted`` says that the restore left the vertex in the
-    box; the control is then the vertex, clipped to it, and otherwise
-    ``interior_U``.  The solve's final check decides whether it is kept.
+    pinned.  The control is the vertex clipped into the box, and
+    ``accepted`` says that the restore left it there before the clip.  The
+    solve's final check decides whether it is kept.
     """
     Phi, cost = lp.M, lp.w
     n = Phi.shape[0]
-    U0 = np.asarray(interior_U, dtype=float)
+    U = np.asarray(interior_U, dtype=float)
     rank_tol = n * np.finfo(float).eps  # relative to the largest singular value
 
-    U = np.where(np.abs(U0) <= _BAND, 0.0, U0)
+    U = np.where(np.abs(U) <= _BAND, 0.0, U)
     U = np.where(np.abs(U) >= 1.0 - _BAND, np.sign(U), U)
     frac = np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0))
     pending = frac[np.argsort(-np.abs(U[frac]), kind="stable")].tolist()
@@ -241,9 +242,7 @@ def polish_to_vertex(lp: L1Program, interior_U: np.ndarray) -> tuple[np.ndarray,
         rhs = lp.b - Phi @ U + Phi[:, S] @ U[S]
         U[S] = np.linalg.lstsq(Phi[:, S], rhs, rcond=None)[0]
 
-    if float(np.max(np.abs(U), initial=0.0)) > 1.0 + _OVERSHOOT:
-        return U0, False, steps
-    return np.clip(U, -1.0, 1.0), True, steps
+    return np.clip(U, -1.0, 1.0), float(np.max(np.abs(U), initial=0.0)) <= 1.0, steps
 
 
 @dataclass(frozen=True)
@@ -379,9 +378,10 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
 
     For callers that hold ``build_reachability(problem)`` and reuse it;
     ``weights`` are the problem's per-channel weights.  The crossover's
-    vertex, scattered into the full U, and then the interior point's
-    control face the check of the module docstring once each; the first
-    that passes is returned, and a failing interior control is reported.
+    vertex and then the interior point's control, each clipped into the
+    box and scattered into the full U, face the check of the module
+    docstring once each; the first that passes is returned, and a failing
+    interior control is reported.
     The objective is h * sum lambda |u| of that control, and the terminal
     error is the Euclidean norm of c + Phi @ U, inf past float64.
     """
@@ -402,15 +402,12 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
             else:
                 reason = (f"pricing found no column with the gap open after a {ip.status.value} "
                           f"round (P - D = {ip.objective - sol.dual_objective:.3g})")
-        elif (overshoot := float(np.max(np.abs(ip.x))) - 1.0) > _OVERSHOOT:
-            status = SolveStatus.NUMERICAL_FAILURE
-            reason = f"interior-point control leaves the box by {overshoot:.3g}"
         else:
             U_raw = np.clip(ip.x, -1.0, 1.0)
             candidates = [U_raw]
             if options.polish:
-                vertex, kept, pins = polish_to_vertex(sol.lp, U_raw)
-                candidates = [vertex, U_raw] if kept else candidates
+                vertex, _, pins = polish_to_vertex(sol.lp, U_raw)
+                candidates = [vertex, U_raw]
             bound = options.feas_tol * (1.0 + float(np.linalg.norm(dp.x0)))
             U = np.zeros(dp.m * dp.N)
             for U_sub in candidates:
@@ -422,8 +419,9 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
                 if not terminal_error <= bound:
                     reason = (f"terminal error {terminal_error:.3g} > "
                               f"feas_tol (1 + |x0|) = {bound:.3g}")
-                elif gap > tol:
-                    reason = f"fuel - D = {gap:.3g} > opt_tol (1 + |fuel|) = {tol:.3g}"
+                elif abs(gap) > tol:
+                    side = "fuel - D" if gap > 0 else "D - fuel"
+                    reason = f"{side} = {abs(gap):.3g} > opt_tol (1 + |fuel|) = {tol:.3g}"
                 else:
                     reason = ""
                     break

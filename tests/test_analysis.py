@@ -13,6 +13,7 @@ from handsoff import (
     ControlSignal,
     DimensionMismatch,
     ExhaustiveBoundExceeded,
+    HandsOffError,
     InfeasibleProblem,
     NonFiniteInput,
     NonpositiveWeight,
@@ -85,6 +86,11 @@ def test_sparsity_per_channel_for_two_inputs():
     assert np.allclose(rep.per_channel_measure, [0.2, 0.1])
 
 
+def test_sparsity_rejects_zero_threshold():
+    with pytest.raises(HandsOffError, match="threshold must be positive"):
+        sparsity(signal_of(np.ones(10)), 0.0)
+
+
 def test_simulate_discrete_homogeneous():
     dp = build_reachability(double_integrator([1.0, 2.0], 1.0, 5))
     traj = simulate_discrete(dp, signal_of(np.zeros(5), h=dp.h), [1.0, 2.0])
@@ -149,6 +155,18 @@ def test_continuous_exact_flow_matches_discrete_at_grid():
     assert fine.shape == (141, 2)
     at_grid = fine[::7]
     assert np.max(np.abs(at_grid - coarse)) <= 1e-10 * (1 + np.max(np.abs(coarse)))
+
+
+@pytest.mark.parametrize("U, m, x0, substeps", [
+    (np.zeros(10), 1, [1.0], 2.5),        # substeps not an integer
+    (np.zeros(10), 1, [1.0, 0.0], 2),     # x0 of the wrong length
+    (np.zeros(20), 2, [1.0], 2),          # two channels, one-channel plant
+])
+def test_simulate_continuous_checks_its_inputs(U, m, x0, substeps):
+    plant = PlantModel(A=[[-1.0]], B=[[1.0]])
+    s = ControlSignal(U=U, h=0.1, m=m, N=10)
+    with pytest.raises(DimensionMismatch):
+        simulate_continuous(plant, s, x0, substeps=substeps)
 
 
 def rk4_final_state(plant, signal, x0, substeps):

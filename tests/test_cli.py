@@ -247,6 +247,20 @@ def test_sweep_reports_unusable_grid_value_as_row_error(grid, error, tmp_path):
     assert error in rows[1]["error"]
 
 
+def test_sweep_scale_reports_each_unusable_scale_as_row_error(tmp_path):
+    # the sweep goes on past a zero, a negative and a NaN scale, one error
+    # row each, and still exits 0
+    out = tmp_path / "sweep.json"
+    code = run(["sweep", "--input", PROBLEMS / "double_integrator.json",
+                "--sweep-scale", "1,0,-2,nan", "--out", out])
+    assert code == 0
+    rows = load(out)["rows"]
+    assert [row["status"] for row in rows] == ["optimal", "error", "error", "error"]
+    assert [row["error"] for row in rows] == [
+        None, "scale 0.0 is not positive", "scale -2.0 is not positive",
+        "weights contain non-finite entries"]
+
+
 def test_sweep_requires_grid():
     assert run(["sweep", "--input", PROBLEMS / "double_integrator.json"]) == 1
 

@@ -11,12 +11,13 @@ from handsoff import (
     SolveStatus,
     build_lp,
     build_reachability,
+    solve,
     solve_ip,
 )
 from handsoff import interior_point
 from handsoff.interior_point import _make_kkt_solver
 
-from _instances import feasible_problem, priced_dual, reference_instances
+from _instances import double_integrator, feasible_problem, priced_dual, reference_instances
 
 
 def random_l1_program(rng, feasible=True):
@@ -331,3 +332,19 @@ def test_nonfinite_first_step_is_a_numerical_failure(monkeypatch):
     assert res.status is SolveStatus.NUMERICAL_FAILURE
     assert res.iterations == 1
     assert res.x is None
+
+
+def test_uncertified_farkas_ray_is_a_numerical_failure(monkeypatch):
+    # the embedding converges to infeasibility here (tau -> 0, b @ y > 0);
+    # a ray that fails the Farkas check certifies nothing, so the solve
+    # ends as a numerical failure with neither a control nor a ray
+    problem = double_integrator([-3.3, 1.9], 2.0, 200)
+    lp = build_lp(build_reachability(problem), problem.weights)
+    monkeypatch.setattr(interior_point, "_farkas_certified", lambda *args: False)
+    res = solve_ip(lp)
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert res.iterations == 5
+    assert res.x is None and res.farkas_y is None
+    report = solve(problem)
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.reason == "interior point returned numerical_failure in round 1"

@@ -143,6 +143,23 @@ def test_read_rejects_invalid_json():
         read_problem("{not json")
 
 
+def _with(field, value):
+    doc = json.loads(DOUBLE_INTEGRATOR_DOC)
+    doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1], "<document>"),                                    # not an object
+    (_with("T", "10"), "T"),                                # T not a number
+    (_with("A", [[0.0, float("nan")], [0.0, 0.0]]), "A"),   # dumped as a NaN literal
+])
+def test_read_rejects_malformed_document(doc, field):
+    with pytest.raises(ParseError) as info:
+        read_problem(json.dumps(doc))
+    assert info.value.field == field
+
+
 def test_read_rejects_non_integer_N():
     doc = json.loads(DOUBLE_INTEGRATOR_DOC)
     doc["N"] = 10.5

@@ -313,20 +313,23 @@ def test_sparsity_threshold_changes_only_the_report(threshold):
     assert report.unpolished_support == _support(unpolished, threshold)
 
 
-@pytest.mark.parametrize("fake", ["extra_fuel", "misses_target"])
+@pytest.mark.parametrize("fake", ["extra_fuel", "misses_target", "below_D"])
 def test_final_check_not_the_crossover_decides(fake, monkeypatch):
     # a vertex the crossover calls accepted is still judged by the check:
-    # one of fuel 1.5 (the optimum is 1.0) and one off the target both
-    # give way to the interior point's control
+    # one of fuel 1.5 (the optimum is 1.0), one off the target, and one
+    # whose terminal error 1e-7 is inside its bound but whose fuel is 1e-7
+    # below D all give way to the interior point's control
     import handsoff.solver
 
     problem = scalar_integrator(1.0, 2.0, 8)
     interior = solve(problem, SolverOptions(polish=False))
     if fake == "extra_fuel":
         V = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 0.0, 0.0])
-    else:
+    elif fake == "misses_target":
         V = interior.signal.U.copy()
         V[0] -= 0.1
+    else:
+        V = interior.signal.U * (1.0 - 1e-7)
     monkeypatch.setattr(handsoff.solver, "polish_to_vertex", lambda *args, **kwargs: (V, True, 3))
     report = solve(problem)
     assert report.status is SolveStatus.OPTIMAL
@@ -742,30 +745,37 @@ def test_open_gap_is_never_reported_optimal(monkeypatch):
 
 
 @pytest.mark.parametrize("overshooting_calls", [1, 3])
-def test_overshoot_is_rejected_without_a_re_solve(overshooting_calls, monkeypatch):
-    # the interior point keeps its control inside the box, so a control
-    # 2e-9 outside it is a numerical failure, not a reason to solve again,
-    # even when a second call would have come back inside
+def test_overshoot_is_clipped_without_a_re_solve(overshooting_calls, monkeypatch):
+    # a control 2e-9 outside the box is clipped into it and faces the final
+    # check like any other, with no second call: the crossover's vertex is
+    # returned, and without the crossover the clipped interior control
     import handsoff.solver
 
-    tols = []
+    problem = double_integrator([1.0, 0.0], 10.0, 100)
     original = handsoff.solver.solve_ip
+    for options in [SolverOptions(), SolverOptions(polish=False)]:
+        returned = []
 
-    def overshooting(lp, tol=1e-8, **kwargs):
-        tols.append(tol)
-        res = original(lp, tol=tol, **kwargs)
-        if len(tols) > overshooting_calls:
+        def overshooting(*args, **kwargs):
+            res = original(*args, **kwargs)
+            if len(returned) < overshooting_calls:
+                x = res.x.copy()
+                x[int(np.argmax(np.abs(x)))] *= 1.0 + 2e-9 / np.max(np.abs(x))
+                res = dataclasses.replace(res, x=x)
+            returned.append(res.x)
             return res
-        x = res.x.copy()
-        x[int(np.argmax(np.abs(x)))] *= 1.0 + 2e-9 / np.max(np.abs(x))
-        return dataclasses.replace(res, x=x)
 
-    monkeypatch.setattr(handsoff.solver, "solve_ip", overshooting)
-    report = solve(double_integrator([1.0, 0.0], 10.0, 100))
-    assert report.status is SolveStatus.NUMERICAL_FAILURE
-    assert report.reason.startswith("interior-point control leaves the box")
-    assert tols == [1e-8]
-    assert report.pricing_rounds == 1
+        monkeypatch.setattr(handsoff.solver, "solve_ip", overshooting)
+        report = solve(problem, options)
+        x, = returned
+        assert np.max(np.abs(x)) > 1.0 + 1e-9
+        assert report.status is SolveStatus.OPTIMAL and report.reason == ""
+        assert report.pricing_rounds == 1
+        assert report.polish_applied is options.polish
+        if options.polish:
+            assert report.objective == 0.20206185567010201
+        else:
+            assert np.array_equal(report.signal.U, np.clip(x, -1.0, 1.0))
 
 
 def test_working_set_sized_program_is_solved_whole(monkeypatch):
