@@ -19,7 +19,6 @@ from .analysis import (
 from .discretize import (
     DiscretizedPlant,
     build_reachability,
-    feasibility_radius,
     matrix_exponential,
     zoh_discretize,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "SparsityReport",
     "build_lp",
     "build_reachability",
-    "feasibility_radius",
     "l0_oracle",
     "matrix_exponential",
     "min_energy_baseline",

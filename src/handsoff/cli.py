@@ -33,7 +33,7 @@ from .model import ControlProblem, ControlSignal, read_problem, write_signal
 from .solver import SolverOptions, solve, solve_discretized
 from . import analysis
 
-SCHEMA = "handsoff-result/1"
+SCHEMA = "handsoff-result/2"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,7 +97,6 @@ def _solve_doc(report, threshold: float) -> dict:
         },
         "iterations": report.iterations,
         "terminal_error": report.terminal_error,
-        "feasibility_slack": report.feasibility_slack,
         "polish_applied": report.polish_applied,
         "polish_rounds": report.polish_rounds,
     }

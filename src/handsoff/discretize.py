@@ -33,8 +33,6 @@ _PADE13 = (
     960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.4
-# Entries of |Phi| one block of the feasibility radius's row sum holds.
-_RADIUS_BLOCK = 2**15
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
@@ -152,18 +150,3 @@ def build_reachability(problem: ControlProblem) -> DiscretizedPlant:
             f"reachability data overflows float64: e^(A t) is too large over T = {problem.T}")
     return DiscretizedPlant(Ad=Ad, Bd=Bd, h=h, Phi=Phi, c=c, x0=problem.x0)
 
-
-def feasibility_radius(dp: DiscretizedPlant) -> float:
-    """Minimum row slack of the reachability data.
-
-    Returns min_k ( sum_j |Phi[k, j]| - |c_k| ).  A negative value is a
-    certificate of infeasibility: no unit-bounded control can produce a
-    terminal correction as large as c in that state coordinate.  A
-    nonnegative value certifies nothing; full feasibility is decided by
-    the optimizer.  The row sums are taken over column blocks of about
-    ``_RADIUS_BLOCK`` entries, so no n x K temporary is formed.
-    """
-    n, K = dp.Phi.shape
-    width = max(1, _RADIUS_BLOCK // n)
-    reach = sum(np.abs(dp.Phi[:, j:j + width]).sum(axis=1) for j in range(0, K, width))
-    return float(np.min(reach - np.abs(dp.c)))

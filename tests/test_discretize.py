@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +9,6 @@ from handsoff import (
     PlantModel,
     ProblemTooLarge,
     build_reachability,
-    feasibility_radius,
     matrix_exponential,
     zoh_discretize,
 )
@@ -194,41 +191,3 @@ def test_reachability_memory_guard():
     with pytest.raises(ProblemTooLarge):
         build_reachability(p)
 
-
-def test_feasibility_radius_certifies_unreachable_target():
-    dp = build_reachability(scalar_integrator(2.0, 1.0, 10))
-    assert feasibility_radius(dp) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_feasibility_radius_zero_state_has_nonnegative_slack():
-    dp = build_reachability(scalar_integrator(0.0, 1.0, 10))
-    assert feasibility_radius(dp) >= 0.0
-
-
-def test_feasibility_radius_has_no_full_size_temporary():
-    rng = np.random.default_rng(808)
-    problem = ControlProblem(plant=stable_plant(rng, 8, 2), x0=rng.normal(size=8),
-                             T=1.0, N=20000)
-    dp = build_reachability(problem)
-    tracemalloc.start()
-    try:
-        radius = feasibility_radius(dp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * dp.Phi.nbytes
-    whole = np.abs(dp.Phi).sum(axis=1) - np.abs(dp.c)
-    assert radius == pytest.approx(float(np.min(whole)), rel=1e-13)
-
-
-def test_feasibility_radius_in_one_block_is_the_plain_row_sum():
-    rng = np.random.default_rng(809)
-    problem = ControlProblem(plant=stable_plant(rng, 3, 2), x0=rng.normal(size=3),
-                             T=2.0, N=500)
-    dp = build_reachability(problem)
-    assert feasibility_radius(dp) == float(np.min(np.abs(dp.Phi).sum(axis=1) - np.abs(dp.c)))
-
-
-def test_feasibility_radius_reachable_example():
-    dp = build_reachability(scalar_integrator(1.0, 2.0, 4))
-    assert feasibility_radius(dp) == pytest.approx(1.0, abs=1e-12)

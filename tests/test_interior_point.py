@@ -132,7 +132,7 @@ def test_infeasible_instances_are_certified():
         assert res.status is SolveStatus.INFEASIBLE
         # Farkas ray on the equality rows: b @ y exceeds the most that any
         # v in the box can give, max (M v) @ y = sum_j |M_j @ y|
-        y = res.farkas_y
+        y = res.y
         assert y.shape == lp.b.shape
         assert lp.b @ y > np.abs(lp.M.T @ y).sum()
 
@@ -340,11 +340,11 @@ def test_uncertified_farkas_ray_is_a_numerical_failure(monkeypatch):
     # ends as a numerical failure with neither a control nor a ray
     problem = double_integrator([-3.3, 1.9], 2.0, 200)
     lp = build_lp(build_reachability(problem), problem.weights)
-    monkeypatch.setattr(interior_point, "_farkas_certified", lambda *args: False)
+    monkeypatch.setattr(interior_point, "_is_farkas_ray", lambda *args: False)
     res = solve_ip(lp)
     assert res.status is SolveStatus.NUMERICAL_FAILURE
     assert res.iterations == 5
-    assert res.x is None and res.farkas_y is None
+    assert res.x is None and res.y is None
     report = solve(problem)
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.reason == "interior point returned numerical_failure in round 1"

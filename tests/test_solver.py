@@ -18,7 +18,6 @@ from handsoff import (
     SolverOptions,
     build_lp,
     build_reachability,
-    feasibility_radius,
     polish_to_vertex,
     recompute_objective,
     solve,
@@ -36,6 +35,7 @@ from _instances import (
     scalar_integrator,
     stable_plant,
     twin_channel_problem,
+    whole_program_draws,
 )
 
 
@@ -92,8 +92,7 @@ def test_certified_infeasible_instance():
     report = solve(scalar_integrator(2.0, 1.0, 10))
     assert report.status is SolveStatus.INFEASIBLE
     assert report.signal is None
-    assert report.feasibility_slack < 0
-    assert report.reason.startswith("feasibility radius")
+    assert report.reason == "interior point returned infeasible in round 1"
 
 
 def test_lp_detected_infeasibility_without_certificate():
@@ -102,6 +101,37 @@ def test_lp_detected_infeasibility_without_certificate():
     report = solve(problem)
     assert report.status is SolveStatus.INFEASIBLE
     assert report.reason.startswith("interior point returned infeasible")
+
+
+def test_interior_point_ray_certifies_whole_program_draw():
+    # w65 (n=7, m=1, N=1179): the interior point stops on tau -> 0 before
+    # its bound duals converge, and its ray still meets the Farkas
+    # inequality with room to spare, b @ y = 2352.6 > sum_j |Phi_j^T y| = 14.3
+    problem = next(p for name, p in whole_program_draws() if name == "w65")
+    lp = build_lp(build_reachability(problem), problem.weights)
+    res = solve_ip(lp)
+    assert res.status is SolveStatus.INFEASIBLE
+    assert lp.b @ res.y > np.abs(lp.M.T @ res.y).sum()
+    report = solve(problem)
+    assert report.status is SolveStatus.INFEASIBLE
+    assert report.reason == "interior point returned infeasible in round 1"
+
+
+@pytest.mark.parametrize("problem, status", [
+    (double_integrator([1.0 + 1e-9, 0.0], 2.0, 200), SolveStatus.INFEASIBLE),
+    (scalar_integrator(1.0 + 1e-9, 1.0, 10), SolveStatus.OPTIMAL),
+], ids=["double", "scalar"])
+def test_target_just_past_the_reachable_set(problem, status):
+    # 1e-9 past the boundary, within feas_tol: the interior point's
+    # tolerance decides the side, by a Farkas ray or by a control that
+    # meets the final check
+    report = solve(problem)
+    assert report.status is status
+    if status is SolveStatus.OPTIMAL:
+        assert report.terminal_error <= 1e-6 * (1.0 + float(np.linalg.norm(problem.x0)))
+        assert report.objective == pytest.approx(1.0, rel=1e-8)
+    else:
+        assert report.reason == "interior point returned infeasible in round 1"
 
 
 def test_double_integrator_matches_simplex_reference():
@@ -429,8 +459,9 @@ def test_small_fuel_objective_matches_highs():
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP items 3 and 8: optimal at 0.0070849 with P - D = 4.9e-7 P, 2.0e-3 above "
-           "HiGHS, whose answers leave terminal residuals of 2e-10 on this ill-conditioned draw")
+    reason="ROADMAP items 2 and 8: optimal at 0.0070843713 with two BLAS threads and "
+           "iteration_limit with one; HiGHS's 0.00707 is 0.2 % below the exact optimum "
+           "0.0070850723")
 def test_feasible_column_generation_draw_is_solved():
     # the second draw of a random sweep: n=8, m=1, N=7724, T=0.7167.  HiGHS
     # finds it feasible, but its dual simplex (0.007071157773, terminal
@@ -573,11 +604,10 @@ def test_column_generation_matches_full_program(monkeypatch):
 
 
 def test_column_generation_certifies_infeasibility():
-    # the precheck passes (row slacks are nonnegative); the first
-    # restricted Farkas ray must certify the full program
+    # each state is within reach on its own, but not both together; the
+    # first restricted Farkas ray must certify the full program
     problem = double_integrator([-3.3, 1.9], 2.0, 3000)
     report = solve(problem)
-    assert report.feasibility_slack >= 0
     assert report.status is SolveStatus.INFEASIBLE
     assert report.signal is None
     assert report.pricing_rounds >= 1
@@ -708,7 +738,6 @@ def test_infeasible_restriction_grows_the_working_set(monkeypatch):
 def test_small_working_set_infeasible(monkeypatch):
     _small_working_set(monkeypatch)
     report = solve(double_integrator([-3.3, 1.9], 2.0, 200))
-    assert report.feasibility_slack >= 0
     assert report.status is SolveStatus.INFEASIBLE
 
 
@@ -907,10 +936,9 @@ def test_long_crossover_draw_now_ends_on_the_vertex():
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_solve_discretized_rejects_bad_weights(bad):
     # the typed error a ControlProblem raises for the same weight, also on
-    # a program the precheck finds infeasible
+    # an infeasible program
     for x0 in ([1.0, 0.0], [0.0, 5.0]):
         problem = double_integrator(x0, 2.0, 100)
-        assert (feasibility_radius(build_reachability(problem)) < 0) == (x0[1] == 5.0)
         with pytest.raises(HandsOffError) as expected:
             dataclasses.replace(problem, weights=[bad])
         with pytest.raises(expected.type):
