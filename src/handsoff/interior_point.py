@@ -23,16 +23,22 @@ Wright 1997, ch. 11): the blind start lies on them and every step keeps
 them, so each iterate, and the returned v, is inside the box to
 roundoff, and their duals are -w, minus the duals of s.  The iterate
 x, s, z, w is one stacked array and so is the step, so that an update,
-a ratio test or a complementarity residual is one numpy call.  Each KKT
-solve eliminates the diagonal blocks first, leaving the n x n Schur
-complement M diag(theta_p + theta_q) M^T (n = number of equality rows),
-whose Cholesky factor L is inverted once per iteration; an iteration
-costs O(n^2 K + n^3) for K entries of v.  Each right-hand side takes two
-products with L^-1, never one with S^-1 (``_make_kkt_solver``).  An
-iteration makes two solve calls: the step per unit tau and the
-predictor, whose complementarity residuals are closed-form (-z and -w
-after division by x and s), go through one call as two stacked
-right-hand sides, and the corrector is the second.
+a ratio test or a complementarity residual is one numpy call.  The
+equality rows are put in orthonormal form first (Golub & Van Loan 2013,
+sec. 5.2-5.3): with M^T = Q R and R^T = W diag(sv) V^T cut to the
+numerical rank r, the solver works on G = T M and T b for
+T = diag(1 / sv) W^T, each row then scaled by its largest magnitude, so
+the normal equations keep the spread of theta but not the conditioning
+of M; y maps back as ye @ T.  When r < n, the part of b off the span of
+M is tried as a Farkas ray before the first step.  Each KKT solve
+eliminates the diagonal blocks first, leaving the r x r Schur complement
+G diag(theta_p + theta_q) G^T, whose Cholesky factor L is inverted once
+per iteration; an iteration costs O(r^2 K + r^3) for K entries of v.
+Each right-hand side takes two products with L^-1, never one with S^-1
+(``_make_kkt_solver``).  An iteration makes two solve calls: the step
+per unit tau and the predictor, whose complementarity residuals are
+closed-form (-z and -w after division by x and s), go through one call
+as two stacked right-hand sides, and the corrector is the second.
 
 Near the optimum the normal equations reach an accuracy floor (Wright
 1997, ch. 11) at which the primal residual can stall above the
@@ -45,9 +51,9 @@ The stop (relative residuals and a gap relative to 1 + |primal|) is
 nearly absolute when the fuel is small, so once it holds an endgame
 measures the gap relative to the fuel, floored at the smallest weight,
 and keeps stepping while that gap stays above the tolerance or more
-than n entries of v are fractional, strictly inside (1e-6, 1 - 1e-6) in
+than r entries of v are fractional, strictly inside (1e-6, 1 - 1e-6) in
 magnitude, the crossover's default band: a vertex of the box program
-has at most n.  The iterate that met the stop is kept, and each later
+has at most r.  The iterate that met the stop is kept, and each later
 step replaces it only if it meets the stop again and halves the
 fuel-relative gap; any other step ends the solve with the kept iterate.
 Interior-point iterates identify the optimal face in their last steps
@@ -76,7 +82,7 @@ _ALPHA0 = 0.99995
 # equations, where further steps add roundoff rather than accuracy.
 _HALVING = 0.5
 # An entry of v inside (_BAND, 1 - _BAND) in magnitude is fractional; the
-# endgame does not stop on a gap alone while more than n entries are.
+# endgame does not stop on a gap alone while more than rank(M) entries are.
 _BAND = 1e-6
 # Refinement of the KKT solves starts once mu is below this and the
 # primal residual fails to halve in a step.
@@ -153,30 +159,26 @@ def _split_tdot(G, y):
 def _make_kkt_solver(G, theta):
     """Factor the normal equations for the current scaling.
 
-    G is the row-scaled n x K equality matrix, A = [G, -G], and theta the
+    G is the transformed r x K equality matrix, A = [G, -G], and theta the
     diagonal scaling of the 2K split box variables, a (2, K) array.
     Returns a solver (r1, r2) -> (dx, dy) for A dx = r2 with
     dx = theta (A^T dy - r1), through the Schur complement
     S = G diag(theta_p + theta_q) G^T.  Right-hand sides may be stacked
-    along leading axes, r1 as (..., 2, K) and r2 as (..., n), and are
+    along leading axes, r1 as (..., 2, K) and r2 as (..., r), and are
     then solved in one call.  S = L L^T is inverted once as L^-1, and
     each right-hand side takes two products with it; S^-1 = L^-T L^-1 is
     never formed, since its product loses the accuracy of the two
-    triangular steps once theta spans many decades.  Least squares
-    serves when S is not numerically positive definite.
+    triangular steps once theta spans many decades.  When S is not
+    numerically positive definite every step is NaN, which ends the solve.
     """
     S = (G * (theta[0] + theta[1])) @ G.T
     try:
         Li = np.linalg.inv(np.linalg.cholesky(S))
-
-        def ssolve(r):
-            return (r @ Li.T) @ Li
     except np.linalg.LinAlgError:
-        def ssolve(r):
-            return np.linalg.lstsq(S, r.T, rcond=None)[0].T
+        Li = np.full_like(S, np.nan)
 
     def solve(r1, r2):
-        dy = ssolve(r2 + _split_dot(G, theta * r1))
+        dy = ((r2 + _split_dot(G, theta * r1)) @ Li.T) @ Li
         return theta * (_split_tdot(G, dy) - r1), dy
 
     return solve
@@ -189,8 +191,8 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     the relative dual residual and the duality gap relative to
     1 + |primal| all drop below ``tol``; the returned v lies in the box to
     roundoff, and ``objective`` is its fuel w @ |v|.  Then, while the gap
-    relative to max(|primal|, min w) is above ``tol`` or more than n
-    entries of v are fractional, inside (``_BAND``, 1 - ``_BAND``) in
+    relative to max(|primal|, min w) is above ``tol`` or more entries of
+    v than the rank of M are fractional, inside (``_BAND``, 1 - ``_BAND``) in
     magnitude, the endgame keeps that iterate and steps on: a step that
     again meets the stop and halves that gap is kept in its place, and the
     first step that does neither, is not finite or reaches ``maxiter``
@@ -199,8 +201,9 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     step not kept included.  An infeasible status carries in ``y`` the
     equality-row ray, an n-vector in the original row units with
     b @ y > sum_j |M[:, j] @ y| (``_is_farkas_ray``): no v in the box
-    reaches b.  When the embedding stops on tau -> 0 with a ray that fails
-    this inequality, the status is a numerical failure.
+    reaches b; the part of b off the span of M, if it is one, is found in
+    0 iterations, with NaN residuals.  When the embedding stops on
+    tau -> 0 with a ray that fails it, the status is a numerical failure.
 
     Each iteration factors the normal equations once and makes two solve
     calls, the step per unit tau with the predictor, then the corrector.
@@ -210,12 +213,20 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     """
     n, K = lp.M.shape
 
-    # Row equilibration of the equality block; solutions are unchanged and
-    # the duals are rescaled on exit.
-    row_scale = np.maximum(np.max(np.abs(lp.M), axis=1), np.abs(lp.b))
-    row_scale[row_scale == 0] = 1.0
-    G = lp.M / row_scale[:, None]
-    beq = lp.b / row_scale
+    # the orthonormal rows G = T M of the module docstring, and beq = T b
+    W, sv, _ = np.linalg.svd(np.linalg.qr(lp.M.T, mode="r").T, full_matrices=False)
+    rank = int(np.count_nonzero(sv > max(n, K) * np.finfo(float).eps * sv[0]))
+    W = W[:, :rank]
+    T = W.T / sv[:rank, None]
+    if rank < n:
+        ray = lp.b - W @ (W.T @ lp.b)
+        if _is_farkas_ray(lp.b, ray, lp.M.T @ ray):
+            return IPResult(SolveStatus.INFEASIBLE, None, ray, *[math.nan] * 4, 0)
+    G, beq = T @ lp.M, T @ lp.b
+    scale = np.maximum(np.max(np.abs(G), axis=1), np.abs(beq))
+    G /= scale[:, None]
+    beq /= scale
+    T /= scale[:, None]
     cscale = float(np.max(lp.w)) or 1.0
     c = np.stack([lp.w, lp.w]) / cscale
     c_min = float(np.min(c))
@@ -235,10 +246,10 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     # step per unit dtau and the predictor, and the corrector's
     # complementarity residuals divided by X
     rhs1 = np.empty((2, 2, K))
-    rhs2 = np.empty((2, n))
+    rhs2 = np.empty((2, rank))
     rhs2[0] = beq
     RX = np.empty((2, 2, K))
-    ye = np.zeros(n)
+    ye = np.zeros(rank)
     tau, kappa = 2.0, 0.5
     pairs = 4 * K + 1  # x z, s w and tau kappa
 
@@ -266,7 +277,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     def finish(status, it, rho_p, rho_d, rho_A, ray=None):
         if status is SolveStatus.OPTIMAL:
             v = (x[0] - x[1]) / tau
-            y = cscale * (ye / row_scale) / tau
+            y = cscale * (ye @ T) / tau
             return IPResult(status, v, y, float(lp.w @ np.abs(v)), rho_p, rho_d, rho_A, it)
         return IPResult(status, None, ray, float("nan"), rho_p, rho_d, rho_A, it)
 
@@ -290,13 +301,13 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             rho_A = float(cscale * abs(cx - by) / (tau + cscale * abs(cx)))
 
             # The embedding converges with tau -> 0 exactly when no finite
-            # optimal pair exists; ye / row_scale is then the Farkas ray, in
+            # optimal pair exists; ye @ T is then the Farkas ray, in
             # the program's units, that witnesses primal infeasibility.
             if kept is None and iteration and (
                     (raw_p <= tol and raw_d <= tol and abs(rg) / rg_norm0 <= tol
                      and tau <= tol * max(1.0, kappa))
                     or (mu <= tol and tau <= tol * min(1.0, kappa))):
-                ray = ye / row_scale
+                ray = ye @ T
                 if _is_farkas_ray(lp.b, ray, lp.M.T @ ray):
                     return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A, ray)
                 return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
@@ -310,7 +321,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             if optimal:
                 kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A), rel
                 v = np.abs(kept.x)
-                if rel <= tol and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= n:
+                if rel <= tol and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= rank:
                     return kept
             if iteration >= maxiter:
                 return kept or finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)

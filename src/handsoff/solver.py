@@ -32,9 +32,8 @@ columns nearly as the fine optimum's would.  A held coarse control is a
 fine control of the same fuel, but no fine vertex, so the coarse round
 never ends the loop as optimal.  The first working set is every fine
 column of the coarse blocks that its control uses, which keeps it
-feasible, and the priced columns.  A coarse round that ends without a
-verdict falls back to every r-th slot, r = ceil(m N / ``_WORKING_SET``),
-with all its channels and the last slot.
+feasible, and the priced columns; when both are empty it is the last
+slot.
 
 From then on the loop stops once the restricted primal P, which is
 feasible for the full program, is within ``opt_tol * (1 + |P|)`` of D;
@@ -42,11 +41,13 @@ otherwise the columns with the largest relative reduced cost, at most
 ``_WORKING_SET``, join the set, and the columns deep in the round's dead
 zone, reduced cost <= -``_DEEP`` w_j, leave it.  A column leaves at most
 once, so the loop still ends.  When pricing finds no column while the
-gap is open, the loop ends with a numerical failure.  An infeasible
-round, coarse or fine, prunes nothing; its Farkas ray certifies the full
-program when b @ y > sum_j |Phi_j^T y| over all columns; otherwise the
-columns with the largest |Phi_j^T y| join.  The crossover runs on the
-last round's program.  The reported ``lp_objective`` and
+gap is open, the loop ends with a numerical failure.  Every round's y,
+an optimal round's costate or an infeasible round's ray, certifies the
+full program infeasible when b @ y > sum_j |Phi_j^T y| over all columns;
+an infeasible round that does not prunes nothing, and the columns with
+the largest |Phi_j^T y| join.  A round, coarse or fine, that ends
+without a verdict ends the loop with its status.  The crossover runs on
+the last round's program.  The reported ``lp_objective`` and
 ``dual_objective`` are P and D.
 
 One check decides the returned control.  Each candidate is clipped into
@@ -261,17 +262,6 @@ class _L1Solve:
     iterations: int
 
 
-def _initial_columns(m: int, N: int) -> np.ndarray:
-    """Every r-th slot with all its channels, and the last slot.
-
-    r = ceil(m N / _WORKING_SET); the working set when the coarse round
-    gives none.
-    """
-    r = -(-m * N // _WORKING_SET)
-    slots = np.union1d(np.arange(0, N, r), [N - 1])
-    return (slots[:, None] * m + np.arange(m)).ravel()
-
-
 def _coarse_program(lp: L1Program, m: int, N: int) -> tuple[L1Program, int]:
     """``lp`` with each channel held over r consecutive slots, and r.
 
@@ -307,14 +297,11 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     """Solve ``lp`` on a working set of columns priced by the dead-zone law.
 
     See the module docstring.  The coarse control's support is its entries
-    above ``_HELD``; a coarse round that leaves the first working set
-    empty, a zero control with nothing priced in, also falls back to
-    ``_initial_columns``.  After a fine optimal round that adds columns,
-    those with |Phi_j^T y| <= (1 - ``_DEEP``) w_j leave the set, each at
-    most once; the round's support is on the dead-zone edge and stays.
-    An optimal status always carries P - D <= opt_tol * (1 + |P|) with D
-    priced over every column; when pricing finds nothing while the gap is
-    open, the loop gives up with a numerical failure.
+    above ``_HELD``.  After a fine optimal round that adds columns, those
+    with |Phi_j^T y| <= (1 - ``_DEEP``) w_j leave the set, each at most
+    once; the round's support is on the dead-zone edge and stays.  An
+    optimal status always carries P - D <= opt_tol * (1 + |P|) with D
+    priced over every column.
     """
     K = lp.M.shape[1]
     sub, cols = lp, np.arange(K)  # a program this small is its own working set
@@ -328,30 +315,29 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
         rounds += 1
         iterations += ip.iterations
         status, dual = ip.status, float("nan")
+        if ip.y is None:  # no verdict: an iteration limit or a numerical failure
+            break
+        reach = np.abs(lp.M.T @ ip.y)
+        if _is_farkas_ray(lp.b, ip.y, reach):
+            status = SolveStatus.INFEASIBLE
+            break
         coarse = cols.size == 0
         outside = np.ones(K, dtype=bool)
         outside[cols] = False
         if status is SolveStatus.OPTIMAL:
-            reduced = np.abs(lp.M.T @ ip.y) - lp.w
+            reduced = reach - lp.w
             dual = float(lp.b @ ip.y - np.maximum(reduced, 0.0).sum())
             if not coarse and ip.objective - dual <= opt_tol * (1.0 + abs(ip.objective)):
                 break
             with np.errstate(divide="ignore", invalid="ignore"):
                 new = _best(np.where(outside & (reduced > 0.0), reduced / lp.w, 0.0))
-        elif status is SolveStatus.INFEASIBLE:
-            reach = np.abs(lp.M.T @ ip.y)
-            if _is_farkas_ray(lp.b, ip.y, reach):
-                break
-            new = _best(np.where(outside, reach, 0.0))
-        elif coarse:
-            new = _initial_columns(m, N)
         else:
-            break
+            new = _best(np.where(outside, reach, 0.0))
         if coarse:
             if status is SolveStatus.OPTIMAL:
                 held = np.flatnonzero(np.abs(ip.x) > _HELD)
                 new = np.union1d(new, _block_columns(held, m, N, r))
-            cols = new if new.size else _initial_columns(m, N)
+            cols = new if new.size else np.arange(K - m, K)
         elif new.size == 0:
             status = SolveStatus.NUMERICAL_FAILURE
             break
@@ -393,6 +379,8 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     if status is not SolveStatus.OPTIMAL:
         if status is ip.status:
             reason = f"interior point returned {ip.status.value} in round {sol.rounds}"
+        elif status is SolveStatus.INFEASIBLE:
+            reason = f"the costate of {ip.status.value} round {sol.rounds} is a Farkas ray"
         else:
             reason = (f"pricing found no column with the gap open after a {ip.status.value} "
                       f"round (P - D = {ip.objective - sol.dual_objective:.3g})")

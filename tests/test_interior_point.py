@@ -247,16 +247,13 @@ def assert_solves_kkt(G, theta, r1, r2):
         assert np.all(np.abs(dx - theta * (t - r1)) <= 1e-10 * terms)
 
 
-def random_kkt_system(rng, shared_row=False, decades=(-4.0, 4.0), stack=()):
+def random_kkt_system(rng, decades=(-4.0, 4.0), stack=()):
     """G, theta with log10 theta uniform over ``decades``, and right-hand
     sides r1, r2 stacked along the leading shape ``stack``."""
-    n = int(rng.integers(2 if shared_row else 1, 9))
+    n = int(rng.integers(1, 9))
     K = int(rng.integers(n, 51))
     G = rng.normal(size=(n, K))
     r2 = rng.normal(size=stack + (n,))
-    if shared_row:
-        # a consistent system whose Schur complement is singular
-        G[1], r2[..., 1] = G[0], r2[..., 0]
     theta = 10.0 ** rng.uniform(*decades, size=(2, K))
     return G, theta, rng.normal(size=stack + (2, K)), r2
 
@@ -275,25 +272,68 @@ def test_kkt_solver_solves_the_normal_equations():
         assert_solves_kkt(*random_kkt_system(rng, stack=(2,)))
 
 
-def test_kkt_solver_falls_back_to_least_squares_on_equal_rows(monkeypatch):
-    lstsq, calls = np.linalg.lstsq, []
+def test_failed_cholesky_is_a_numerical_failure(monkeypatch):
+    # a Schur complement that is not numerically positive definite gives a
+    # NaN step, and a step that is not finite ends the solve
+    def failing(S):
+        raise np.linalg.LinAlgError("not positive definite")
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    res = solve_ip(L1Program(M=[[1.0, 2.0, -1.0]], b=[0.5], w=[1.0, 1.0, 1.0]))
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert res.iterations == 1
+    assert res.x is None and res.y is None
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        assert_solves_kkt(*random_kkt_system(rng, shared_row=True))
-    # a singular Schur complement may still pass Cholesky on roundoff, but
-    # not on every draw
-    assert calls
-    # least squares takes stacked right-hand sides too
-    calls.clear()
-    for _ in range(20):
-        assert_solves_kkt(*random_kkt_system(rng, shared_row=True, stack=(2,)))
-    assert calls
+
+@pytest.mark.parametrize("b", [[1.0, 0.0], [1.0, -3.0]])
+def test_equal_rows_with_target_off_their_span_are_infeasible_at_once(b):
+    # rows 0 and 1 are equal, so b - (b0 + b1) / 2 (1, 1) is a ray off their
+    # span, found before the first step
+    M = np.array([[1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, 0.5], [0.0, 1.0, -1.0, 2.0]])
+    lp = L1Program(M=M, b=[b[0], b[1], 0.2], w=[1.0, 2.0, 1.0, 0.5])
+    res = solve_ip(lp)
+    assert res.status is SolveStatus.INFEASIBLE
+    assert res.iterations == 0 and res.x is None
+    assert lp.b @ res.y > np.abs(lp.M.T @ res.y).sum()
+
+
+def test_equal_rows_with_target_on_their_span_are_solved():
+    # the same rows with b on their span: the solve runs on the two
+    # independent rows and matches HiGHS on the program
+    M = np.array([[1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, 0.5], [0.0, 1.0, -1.0, 2.0]])
+    lp = L1Program(M=M, b=[1.0, 1.0, 0.2], w=[1.0, 2.0, 1.0, 0.5])
+    res = solve_ip(lp)
+    ref = highs_reference(lp, np.ones(4))
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(ref.fun, rel=1e-7)
+    assert np.allclose(M @ res.x, lp.b, atol=1e-8)
+
+
+@pytest.mark.parametrize("b, status", [
+    ([0.5, 1.0], SolveStatus.OPTIMAL),
+    ([0.5, 0.0], SolveStatus.INFEASIBLE),
+], ids=["on_span", "off_span"])
+def test_fewer_columns_than_rows(b, status):
+    # a 2 x 1 program: one column spans one direction of the plane, so a
+    # target off it is certified before the first step, and one on it is
+    # reached by v = 0.5
+    lp = L1Program(M=[[1.0], [2.0]], b=b, w=[3.0])
+    res = solve_ip(lp)
+    assert res.status is status
+    if status is SolveStatus.OPTIMAL:
+        assert res.x == pytest.approx([0.5], abs=1e-8)
+        assert res.objective == pytest.approx(1.5, rel=1e-8)
+    else:
+        assert res.iterations == 0
+        assert lp.b @ res.y > np.abs(lp.M.T @ res.y).sum()
+
+
+def test_zero_matrix_with_zero_target_gives_zero_control():
+    # rank 0: no row is left, and the fuel alone drives v to 0
+    res = solve_ip(L1Program(M=np.zeros((2, 5)), b=np.zeros(2), w=np.ones(5)))
+    assert res.status is SolveStatus.OPTIMAL
+    assert np.max(np.abs(res.x)) <= 1e-9
+    assert res.objective <= 1e-8
 
 
 @pytest.mark.parametrize("instance, support", [

@@ -117,21 +117,20 @@ def test_interior_point_ray_certifies_whole_program_draw():
     assert report.reason == "interior point returned infeasible in round 1"
 
 
-@pytest.mark.parametrize("problem, status", [
-    (double_integrator([1.0 + 1e-9, 0.0], 2.0, 200), SolveStatus.INFEASIBLE),
-    (scalar_integrator(1.0 + 1e-9, 1.0, 10), SolveStatus.OPTIMAL),
+@pytest.mark.parametrize("problem", [
+    double_integrator([1.0 + 1e-9, 0.0], 2.0, 200),
+    scalar_integrator(1.0 + 1e-9, 1.0, 10),
 ], ids=["double", "scalar"])
-def test_target_just_past_the_reachable_set(problem, status):
-    # 1e-9 past the boundary, within feas_tol: the interior point's
-    # tolerance decides the side, by a Farkas ray or by a control that
-    # meets the final check
+def test_target_just_past_the_reachable_set(problem):
+    # 1e-9 past the boundary, within feas_tol: the interior point reaches
+    # its optimal stop, but the costate it returns already meets the Farkas
+    # inequality b @ y > sum_j |Phi_j^T y| (on the scalar integrator
+    # D = 1.0000000019 against a total weight of 1), which certifies the
+    # program infeasible
     report = solve(problem)
-    assert report.status is status
-    if status is SolveStatus.OPTIMAL:
-        assert report.terminal_error <= 1e-6 * (1.0 + float(np.linalg.norm(problem.x0)))
-        assert report.objective == pytest.approx(1.0, rel=1e-8)
-    else:
-        assert report.reason == "interior point returned infeasible in round 1"
+    assert report.status is SolveStatus.INFEASIBLE
+    assert report.signal is None
+    assert report.reason == "the costate of optimal round 1 is a Farkas ray"
 
 
 def test_double_integrator_matches_simplex_reference():
@@ -337,7 +336,7 @@ def test_sparsity_threshold_changes_only_the_report(threshold):
     assert report.status is default.status is SolveStatus.OPTIMAL
     assert report.polish_applied and default.polish_applied
     assert np.array_equal(report.signal.U, default.signal.U)
-    assert report.objective == default.objective == 0.20206185567010201
+    assert report.objective == default.objective == 0.20206185567010204
     assert report.polish_rounds == default.polish_rounds
     unpolished = solve(problem, SolverOptions(polish=False)).signal.U
     assert report.unpolished_support == _support(unpolished, threshold)
@@ -457,25 +456,36 @@ def test_small_fuel_objective_matches_highs():
     assert report.objective == pytest.approx(0.0020120443321, rel=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP items 2 and 8: optimal at 0.0070843713 with two BLAS threads and "
-           "iteration_limit with one; HiGHS's 0.00707 is 0.2 % below the exact optimum "
-           "0.0070850723")
 def test_feasible_column_generation_draw_is_solved():
-    # the second draw of a random sweep: n=8, m=1, N=7724, T=0.7167.  HiGHS
-    # finds it feasible, but its dual simplex (0.007071157773, terminal
-    # residual 2.2e-10) and its interior point (0.007075757, 4.2e-11) differ
-    # by 6.5e-4 relative, so the objective is held to 1e-3 only
-    rng = np.random.default_rng(7)
-    for _ in range(2):
-        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 3))
-        N = int(rng.integers(2049 // m + 1, 20000 // m))
-        problem = feasible_problem(rng, n, m, N, T=float(rng.uniform(0.5, 2.0)),
-                                   witness_scale=float(rng.uniform(0.3, 0.95)))
+    # sweep draw r7_1 (n=8, m=1, N=7724): Phi's singular values span
+    # 1.3e-2 to 1.6e-10.  The returned vertex is certified in rational
+    # arithmetic on the float data, and its exact optimum 0.0070850723019
+    # is the reference: HiGHS's dual simplex gives 0.0070712, 0.2 % below it
+    problem = _draw("r7_1")
+    dp = build_reachability(problem)
+    report = solve_discretized(dp, problem.weights)
+    assert report.status is SolveStatus.OPTIMAL and report.polish_applied
+    audit = exact_vertex_audit(build_lp(dp, problem.weights), report.signal.U)
+    assert audit is not None
+    assert report.objective == pytest.approx(float(audit[2]), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["r13_8", "r13_64"])
+def test_ill_conditioned_draw_ends_on_its_vertex(name):
+    # two more ill-conditioned sweep draws (n=8) that ran to the iteration
+    # limit while the equality rows kept Phi's conditioning
+    report = solve(_draw(name))
+    assert report.status is SolveStatus.OPTIMAL and report.polish_applied
+
+
+@pytest.mark.parametrize("name", ["w63", "w66", "w130", "w259", "w297", "w349", "w363"])
+def test_whole_program_draw_keeps_its_vertex(name):
+    # whole-program draws whose crossover vertex failed the final check
+    # while the equality rows kept Phi's conditioning, so that the solve
+    # returned the interior point's control
+    problem = next(p for key, p in whole_program_draws() if key == name)
     report = solve(problem)
-    assert report.status is SolveStatus.OPTIMAL
-    assert report.objective == pytest.approx(0.00707, rel=1e-3)
+    assert report.status is SolveStatus.OPTIMAL and report.polish_applied
 
 
 def test_solve_discretized_peak_memory():
@@ -802,7 +812,7 @@ def test_overshoot_is_clipped_without_a_re_solve(overshooting_calls, monkeypatch
         assert report.pricing_rounds == 1
         assert report.polish_applied is options.polish
         if options.polish:
-            assert report.objective == 0.20206185567010201
+            assert report.objective == 0.20206185567010204
         else:
             assert np.array_equal(report.signal.U, np.clip(x, -1.0, 1.0))
 
@@ -891,35 +901,25 @@ def test_first_fine_round_holds_the_coarse_support(monkeypatch):
 
 
 @pytest.mark.parametrize("status", [SolveStatus.ITERATION_LIMIT, SolveStatus.NUMERICAL_FAILURE])
-def test_failed_coarse_round_falls_back_to_every_rth_slot(status, monkeypatch):
-    # a coarse round without a verdict leaves the first fine round to every
-    # r-th slot with all its channels and the last slot, r = ceil(m N / 2048);
-    # the loop runs on from there, and the failed round counts as a round
+def test_failed_coarse_round_ends_the_pricing_loop(status, monkeypatch):
+    # a coarse round without a verdict ends the loop with its status, as a
+    # fine round does, and the report names the round
     import handsoff.solver
 
-    original = handsoff.solver.solve_ip
     rounds = []
 
-    def failing_first(lp, *args, **kwargs):
-        if not rounds:
-            nan = float("nan")
-            res = handsoff.solver.IPResult(status, None, None, nan, nan, nan, nan, 200)
-        else:
-            res = original(lp, *args, **kwargs)
-        rounds.append((lp, res))
-        return res
+    def failing(lp, *args, **kwargs):
+        nan = float("nan")
+        rounds.append(lp)
+        return handsoff.solver.IPResult(status, None, None, nan, nan, nan, nan, 200)
 
-    monkeypatch.setattr(handsoff.solver, "solve_ip", failing_first)
-    problem = feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0)
-    report = solve(problem)
-    assert report.status is SolveStatus.OPTIMAL
-    dp = build_reachability(problem)
-    slots = np.union1d(np.arange(0, 5000, 5), [4999])
-    first = (slots[:, None] * 2 + np.arange(2)).ravel()
-    assert np.array_equal(_full_columns(dp.Phi, rounds[1][0]), first)
-    assert report.pricing_rounds == len(rounds) > 2
-    assert report.iterations == sum(res.iterations for _, res in rounds)
-    _bracket_holds(report, fuel_reference(problem).fun)
+    monkeypatch.setattr(handsoff.solver, "solve_ip", failing)
+    report = solve(feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0))
+    assert report.status is status
+    assert report.reason == f"interior point returned {status.value} in round 1"
+    assert report.pricing_rounds == len(rounds) == 1
+    assert report.iterations == 200
+    assert report.signal is None
 
 
 def test_long_crossover_draw_now_ends_on_the_vertex():
@@ -945,14 +945,14 @@ def test_solve_discretized_rejects_bad_weights(bad):
             solve_discretized(build_reachability(problem), np.array([bad]))
 
 
-def test_zero_state_column_generation_falls_back_to_every_rth_slot(monkeypatch):
+def test_zero_state_column_generation_starts_from_the_last_slot(monkeypatch):
     # the coarse control is zero and prices nothing in, so the first fine
-    # round is every second slot and the last
+    # round holds the last slot alone, and its zero control closes the gap
     rounds = _recorded_rounds(monkeypatch)
     report = solve(scalar_integrator(0.0, 1.0, 3000))
     assert report.status is SolveStatus.OPTIMAL
-    assert report.objective == pytest.approx(0.0, abs=1e-9)
-    assert [lp.M.shape[1] for lp, _ in rounds] == [250, 1501]
+    assert report.objective == 0.0
+    assert [lp.M.shape[1] for lp, _ in rounds] == [250, 1]
 
 
 @pytest.mark.parametrize("negate", [False, True])
