@@ -33,7 +33,7 @@ from .model import ControlProblem, ControlSignal, read_problem, write_signal
 from .solver import SolverOptions, solve, solve_discretized
 from . import analysis
 
-SCHEMA = "handsoff-result/2"
+SCHEMA = "handsoff-result/3"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,15 +90,13 @@ def _solve_doc(report, threshold: float) -> dict:
         "objective": report.objective,
         "lp_objective": report.lp_objective,
         "dual_objective": report.dual_objective,
-        "residuals": {
-            "primal": report.primal_residual,
-            "dual": report.dual_residual,
-            "gap": report.gap_residual,
-        },
+        "costate": report.costate,
         "iterations": report.iterations,
+        "pricing_rounds": report.pricing_rounds,
         "terminal_error": report.terminal_error,
         "polish_applied": report.polish_applied,
-        "polish_rounds": report.polish_rounds,
+        "crossover_pins": report.crossover_pins,
+        "reason": report.reason,
     }
     if report.signal is not None:
         doc["sparsity"] = _sparsity_doc(report.signal, threshold)

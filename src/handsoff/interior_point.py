@@ -137,9 +137,6 @@ class IPResult:
     x: np.ndarray | None          # the signed v
     y: np.ndarray | None          # equality duals, or the Farkas ray if infeasible
     objective: float
-    primal_residual: float
-    dual_residual: float
-    gap_residual: float
     iterations: int
 
 
@@ -196,14 +193,13 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     magnitude, the endgame keeps that iterate and steps on: a step that
     again meets the stop and halves that gap is kept in its place, and the
     first step that does neither, is not finite or reaches ``maxiter``
-    returns the kept iterate, still optimal.  The residuals are the
-    returned iterate's; ``iterations`` counts every step taken, a last
-    step not kept included.  An infeasible status carries in ``y`` the
-    equality-row ray, an n-vector in the original row units with
-    b @ y > sum_j |M[:, j] @ y| (``_is_farkas_ray``): no v in the box
-    reaches b; the part of b off the span of M, if it is one, is found in
-    0 iterations, with NaN residuals.  When the embedding stops on
-    tau -> 0 with a ray that fails it, the status is a numerical failure.
+    returns the kept iterate, still optimal.  ``iterations`` counts every
+    step taken, a last step not kept included.  An infeasible status
+    carries in ``y`` the equality-row ray, an n-vector in the original row
+    units with b @ y > sum_j |M[:, j] @ y| (``_is_farkas_ray``): no v in
+    the box reaches b; the part of b off the span of M, if it is one, is
+    found in 0 iterations.  When the embedding stops on tau -> 0 with a
+    ray that fails it, the status is a numerical failure.
 
     Each iteration factors the normal equations once and makes two solve
     calls, the step per unit tau with the predictor, then the corrector.
@@ -221,7 +217,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
     if rank < n:
         ray = lp.b - W @ (W.T @ lp.b)
         if _is_farkas_ray(lp.b, ray, lp.M.T @ ray):
-            return IPResult(SolveStatus.INFEASIBLE, None, ray, *[math.nan] * 4, 0)
+            return IPResult(SolveStatus.INFEASIBLE, None, ray, math.nan, 0)
     G, beq = T @ lp.M, T @ lp.b
     scale = np.maximum(np.max(np.abs(G), axis=1), np.abs(beq))
     G /= scale[:, None]
@@ -274,12 +270,12 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             dy += ddy
         return d, dy
 
-    def finish(status, it, rho_p, rho_d, rho_A, ray=None):
+    def finish(status, it, ray=None):
         if status is SolveStatus.OPTIMAL:
             v = (x[0] - x[1]) / tau
             y = cscale * (ye @ T) / tau
-            return IPResult(status, v, y, float(lp.w @ np.abs(v)), rho_p, rho_d, rho_A, it)
-        return IPResult(status, None, ray, float("nan"), rho_p, rho_d, rho_A, it)
+            return IPResult(status, v, y, float(lp.w @ np.abs(v)), it)
+        return IPResult(status, None, ray, math.nan, it)
 
     # the last iterate that met the stop, kept while the endgame steps on
     kept, kept_rel = None, 0.0
@@ -309,8 +305,8 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
                     or (mu <= tol and tau <= tol * min(1.0, kappa))):
                 ray = ye @ T
                 if _is_farkas_ray(lp.b, ray, lp.M.T @ ray):
-                    return finish(SolveStatus.INFEASIBLE, iteration, rho_p, rho_d, rho_A, ray)
-                return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
+                    return finish(SolveStatus.INFEASIBLE, iteration, ray)
+                return finish(SolveStatus.NUMERICAL_FAILURE, iteration)
             optimal = rho_p <= tol and rho_d <= tol and rho_A <= tol
             # the gap relative to the fuel, floored at the smallest weight (one
             # slot's fuel); weights all zero leave no fuel to measure by
@@ -319,12 +315,12 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             if kept is not None and not (optimal and rel <= _HALVING * kept_rel):
                 return replace(kept, iterations=iteration)
             if optimal:
-                kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration, rho_p, rho_d, rho_A), rel
+                kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration), rel
                 v = np.abs(kept.x)
                 if rel <= tol and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= rank:
                     return kept
             if iteration >= maxiter:
-                return kept or finish(SolveStatus.ITERATION_LIMIT, iteration, rho_p, rho_d, rho_A)
+                return kept or finish(SolveStatus.ITERATION_LIMIT, iteration)
             iteration += 1
             refine = refine or (mu < _REFINE_MU and rho_p > _HALVING * last_rho_p)
             last_rho_p = rho_p
@@ -392,7 +388,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             if not (np.isfinite(dkappa) and np.isfinite(dV).all() and np.isfinite(dye).all()):
                 if kept is not None:
                     return replace(kept, iterations=iteration)
-                return finish(SolveStatus.NUMERICAL_FAILURE, iteration, rho_p, rho_d, rho_A)
+                return finish(SolveStatus.NUMERICAL_FAILURE, iteration)
             # the fastest relative rate at which a variable falls toward zero
             np.divide(dV, V, out=ratio)
             rate = max(-float(ratio.min(initial=0.0)), -dtau / tau, -dkappa / kappa)

@@ -115,10 +115,10 @@ class SolveReport:
     ``objective`` is recomputed from the returned signal; ``lp_objective``
     and ``dual_objective`` bracket the true optimum regardless of what
     the crossover did afterwards: the restricted primal P, feasible for
-    the full program, and the dual value D priced over every column.  The
-    three residuals are the last round's relative interior-point
-    residuals; ``primal_residual`` covers the equality rows only, since
-    the interior point keeps its bound rows exactly.
+    the full program, and the dual value D priced over every column.
+    ``costate`` is the last round's y, n floats in the coordinates of Phi,
+    or None when that round gave no verdict: for an optimal status the y
+    that priced D, for an infeasible one the Farkas ray.
     ``unpolished_support`` counts the entries of the interior-point
     control above the sparsity threshold, before the crossover.
     ``iterations`` sums the interior-point iterations of every round,
@@ -126,23 +126,22 @@ class SolveReport:
     counts the rounds (``solve_ip`` calls), the coarse round included.
     ``reason`` names the check that chose a status other than optimal,
     and is empty for an optimal one.  ``polish_applied`` says that the
-    crossover's vertex passed the final check and is the signal.  The
-    sparsity threshold changes ``unpolished_support`` only.
+    crossover's vertex passed the final check and is the signal, and
+    ``crossover_pins`` counts the entries it pinned.  The sparsity
+    threshold changes ``unpolished_support`` only.
     """
 
     status: SolveStatus
     objective: float
     lp_objective: float
     dual_objective: float
-    primal_residual: float
-    dual_residual: float
-    gap_residual: float
+    costate: np.ndarray | None
     iterations: int
     signal: ControlSignal | None
     unpolished_support: int
     terminal_error: float
     polish_applied: bool
-    polish_rounds: int = 0
+    crossover_pins: int = 0
     pricing_rounds: int = 1
     reason: str = ""
 
@@ -417,16 +416,14 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
         objective=objective,
         lp_objective=ip.objective,
         dual_objective=sol.dual_objective,
-        primal_residual=ip.primal_residual,
-        dual_residual=ip.dual_residual,
-        gap_residual=ip.gap_residual,
+        costate=ip.y,
         iterations=sol.iterations,
         signal=None if U is None else ControlSignal(U=U, h=dp.h, m=dp.m, N=dp.N),
         unpolished_support=0 if U_raw is None else int(np.count_nonzero(
             np.abs(U_raw) > options.sparsity_threshold)),
         terminal_error=terminal_error,
         polish_applied=applied,
-        polish_rounds=pins,
+        crossover_pins=pins,
         pricing_rounds=sol.rounds,
         reason=reason,
     )

@@ -252,3 +252,18 @@ def exact_vertex_audit(lp, U):
     objective = (sum(Fraction(float(w[j])) * abs(u) for j, u in zip(F, u_F))
                  + sum(Fraction(float(w[j])) for j in held))
     return F, u_F, objective
+
+
+def exact_farkas_check(lp, y):
+    """Certify in exact arithmetic that ``y`` is a Farkas ray of ``lp``.
+
+    Every float of M, b and y is taken exactly as a Fraction, and
+    b @ y > sum_j |M_j^T y| must hold: then no v in the box |v| <= 1 has
+    M v = b.  A violation fails an assert.
+    """
+    M, b = lp.M, lp.b
+    y = [Fraction(float(v)) for v in y]
+    assert len(y) == M.shape[0], f"ray of {len(y)} entries for {M.shape[0]} rows"
+    by = sum(Fraction(float(bi)) * yi for bi, yi in zip(b, y))
+    reach = sum(abs(sum(Fraction(float(mi)) * yi for mi, yi in zip(col, y))) for col in M.T)
+    assert by > reach, f"b @ y = {float(by)} <= sum_j |M_j^T y| = {float(reach)}"

@@ -531,7 +531,7 @@ def test_verify_equivalence_needs_an_optimal_solve(monkeypatch):
     def failing(lp, *args, **kwargs):
         nan = float("nan")
         return handsoff.solver.IPResult(handsoff.solver.SolveStatus.NUMERICAL_FAILURE,
-                                        None, None, nan, nan, nan, nan, 3)
+                                        None, None, nan, 3)
 
     monkeypatch.setattr(handsoff.solver, "solve_ip", failing)
     with pytest.raises(handsoff.HandsOffError) as raised:

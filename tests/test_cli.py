@@ -6,11 +6,15 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import handsoff.discretize
 import handsoff.model
+from handsoff import build_lp, build_reachability, read_problem
 from handsoff.cli import main
+
+from _instances import exact_farkas_check, priced_dual
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -30,13 +34,33 @@ def test_solve_writes_document_and_csv(tmp_path):
                 "--out", out, "--csv", csv])
     assert code == 0
     doc = load(out)
-    assert doc["schema"] == "handsoff-result/2"
+    assert doc["schema"] == "handsoff-result/3"
     assert doc["status"] == "optimal"
     assert doc["problem"]["N"] == 100
     assert doc["sparsity"]["hands_off_ratio"] > 0.9
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "t,u1,x1,x2"
     assert len(lines) == 102  # header + N+1 grid points
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+def test_solve_document_carries_its_costate(path, tmp_path):
+    # the document's costate, read back from its JSON floats, reproduces
+    # dual_objective to the bit or is an exact Farkas ray
+    out = tmp_path / "result.json"
+    code = run(["solve", "--input", path, "--out", out])
+    doc = load(out)
+    problem = read_problem(path.read_text())
+    lp = build_lp(build_reachability(problem), problem.weights)
+    y = np.array(doc["costate"])
+    assert y.shape == (problem.plant.n,) and np.all(np.isfinite(y))
+    if doc["status"] == "infeasible":
+        assert code == 2
+        assert doc["reason"] == "interior point returned infeasible in round 1"
+        exact_farkas_check(lp, y)
+    else:
+        assert code == 0 and doc["status"] == "optimal" and doc["reason"] == ""
+        assert priced_dual(lp, y) == doc["dual_objective"]
 
 
 def test_cli_import_loads_no_scipy():
@@ -389,4 +413,5 @@ def test_numerical_failure_exits_1_and_still_writes_its_document(tmp_path):
     doc = load(out)
     assert doc["status"] == "numerical_failure"
     assert doc["terminal_error"] is None
+    assert doc["reason"].startswith("terminal error inf > feas_tol (1 + |x0|) = ")
     assert doc["wall_time_sec"] >= 0

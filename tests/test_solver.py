@@ -29,6 +29,7 @@ from _instances import (
     certified_rest_to_rest_fuel,
     column_generation_draws,
     double_integrator,
+    exact_farkas_check,
     exact_vertex_audit,
     feasible_problem,
     priced_dual,
@@ -89,10 +90,14 @@ def test_zero_initial_state_solves_to_zero():
 
 
 def test_certified_infeasible_instance():
-    report = solve(scalar_integrator(2.0, 1.0, 10))
+    # problems/infeasible_scalar.json; its costate is an exact Farkas ray
+    problem = scalar_integrator(2.0, 1.0, 10)
+    report = solve(problem)
     assert report.status is SolveStatus.INFEASIBLE
     assert report.signal is None
     assert report.reason == "interior point returned infeasible in round 1"
+    exact_farkas_check(build_lp(build_reachability(problem), problem.weights),
+                       report.costate)
 
 
 def test_lp_detected_infeasibility_without_certificate():
@@ -115,6 +120,25 @@ def test_interior_point_ray_certifies_whole_program_draw():
     report = solve(problem)
     assert report.status is SolveStatus.INFEASIBLE
     assert report.reason == "interior point returned infeasible in round 1"
+    exact_farkas_check(lp, report.costate)
+
+
+@pytest.mark.parametrize("problem, iterations", [
+    (double_integrator([-3.3, 1.9], 2.0, 200), 5),
+    # A = 0 and B = (1, 1) keep x1 - x2 fixed: a target off that line is
+    # decided before the first interior-point step
+    (ControlProblem(PlantModel(A=np.zeros((2, 2)), B=[[1.0], [1.0]]), x0=[0.5, -0.5],
+                    T=1.0, N=10), 0),
+], ids=["double", "rank_deficient"])
+def test_unreachable_target_costate_is_an_exact_farkas_ray(problem, iterations):
+    # the report's costate alone certifies the status, in exact arithmetic
+    # on the program's floats
+    report = solve(problem)
+    assert report.status is SolveStatus.INFEASIBLE
+    assert report.iterations == iterations
+    assert report.costate.shape == (problem.plant.n,)
+    exact_farkas_check(build_lp(build_reachability(problem), problem.weights),
+                       report.costate)
 
 
 @pytest.mark.parametrize("problem", [
@@ -337,7 +361,7 @@ def test_sparsity_threshold_changes_only_the_report(threshold):
     assert report.polish_applied and default.polish_applied
     assert np.array_equal(report.signal.U, default.signal.U)
     assert report.objective == default.objective == 0.20206185567010204
-    assert report.polish_rounds == default.polish_rounds
+    assert report.crossover_pins == default.crossover_pins
     unpolished = solve(problem, SolverOptions(polish=False)).signal.U
     assert report.unpolished_support == _support(unpolished, threshold)
 
@@ -414,7 +438,7 @@ def test_solve_makes_one_interior_point_call(monkeypatch):
 
     monkeypatch.setattr(handsoff.solver, "solve_ip", counted)
     report = solve(scalar_integrator(1.0, 2.0, 8))
-    assert report.polish_applied and report.polish_rounds > 0
+    assert report.polish_applied and report.crossover_pins > 0
     assert len(calls) == 1
 
 
@@ -443,7 +467,7 @@ def test_interior_point_ends_on_the_vertex(n, N):
     problem = feasible_problem(np.random.default_rng(808), n, 2, N, T=1.0)
     report = solve(problem)
     assert report.status is SolveStatus.OPTIMAL
-    assert report.polish_rounds <= n
+    assert report.crossover_pins <= n
     assert report.objective - report.dual_objective <= 1e-9 * report.objective
 
 
@@ -551,7 +575,7 @@ def test_crossover_invariants(make, working_set, at_vertex, monkeypatch):
     assert report.status is SolveStatus.OPTIMAL and report.polish_applied
     (lp, U0, (U, accepted, steps)), = calls
     n = lp.M.shape[0]
-    assert accepted and steps == report.polish_rounds
+    assert accepted and steps == report.crossover_pins
     thr = SolverOptions().sparsity_threshold
     before = np.count_nonzero((np.abs(U0) > thr) & (np.abs(U0) < 1.0 - thr))
     if at_vertex:
@@ -562,7 +586,7 @@ def test_crossover_invariants(make, working_set, at_vertex, monkeypatch):
     frac = np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0))
     assert frac.size <= n
     assert np.linalg.matrix_rank(lp.M[:, frac]) == frac.size
-    assert report.polish_rounds == before - frac.size
+    assert report.crossover_pins == before - frac.size
     J = float(lp.w @ np.abs(U))
     assert J - report.dual_objective <= SolverOptions().opt_tol * (1.0 + J)
     assert report.objective == pytest.approx(fuel_reference(problem).fun, rel=1e-8)
@@ -911,7 +935,7 @@ def test_failed_coarse_round_ends_the_pricing_loop(status, monkeypatch):
     def failing(lp, *args, **kwargs):
         nan = float("nan")
         rounds.append(lp)
-        return handsoff.solver.IPResult(status, None, None, nan, nan, nan, nan, 200)
+        return handsoff.solver.IPResult(status, None, None, nan, 200)
 
     monkeypatch.setattr(handsoff.solver, "solve_ip", failing)
     report = solve(feasible_problem(np.random.default_rng(808), 4, 2, 5000, T=1.0))
@@ -919,7 +943,7 @@ def test_failed_coarse_round_ends_the_pricing_loop(status, monkeypatch):
     assert report.reason == f"interior point returned {status.value} in round 1"
     assert report.pricing_rounds == len(rounds) == 1
     assert report.iterations == 200
-    assert report.signal is None
+    assert report.signal is None and report.costate is None
 
 
 def test_long_crossover_draw_now_ends_on_the_vertex():
@@ -929,7 +953,7 @@ def test_long_crossover_draw_now_ends_on_the_vertex():
     problem = _draw("r11_35")
     report = solve(problem)
     assert report.status is SolveStatus.OPTIMAL and report.polish_applied
-    assert report.polish_rounds <= 4
+    assert report.crossover_pins <= 4
     _bracket_holds(report, fuel_reference(problem).fun)
 
 
@@ -989,8 +1013,7 @@ def test_failed_fine_round_ends_the_pricing_loop(monkeypatch):
         rounds.append(lp)
         if len(rounds) == 2:
             nan = float("nan")
-            return handsoff.solver.IPResult(SolveStatus.ITERATION_LIMIT, None, None,
-                                            nan, nan, nan, nan, 200)
+            return handsoff.solver.IPResult(SolveStatus.ITERATION_LIMIT, None, None, nan, 200)
         return original(lp, *args, **kwargs)
 
     monkeypatch.setattr(handsoff.solver, "solve_ip", failing_second)
