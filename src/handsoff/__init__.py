@@ -47,7 +47,6 @@ from .model import (
 )
 from .solver import (
     SolveReport,
-    SolverOptions,
     build_lp,
     polish_to_vertex,
     recompute_objective,
@@ -79,7 +78,6 @@ __all__ = [
     "RankDeficient",
     "SolveReport",
     "SolveStatus",
-    "SolverOptions",
     "SparsityReport",
     "build_lp",
     "build_reachability",

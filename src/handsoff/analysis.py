@@ -19,8 +19,9 @@ from .errors import (
     ProblemTooLarge,
     RankDeficient,
 )
+from .interior_point import _BAND
 from .model import MEMORY_GUARD, ControlProblem, ControlSignal, PlantModel, validate_weights
-from .solver import SolveReport, SolverOptions, SolveStatus, solve_discretized
+from .solver import FEAS_TOL, SolveReport, SolveStatus, solve_discretized
 
 # Exhaustive support enumeration is capped at this many atoms.
 EXHAUSTIVE_BOUND = 24
@@ -105,8 +106,12 @@ class L0OracleResult:
     supports_checked: int
 
 
-def sparsity(signal: ControlSignal, threshold: float = 1e-6) -> SparsityReport:
-    """Count active grid slots at the given threshold."""
+def sparsity(signal: ControlSignal, threshold: float = _BAND) -> SparsityReport:
+    """Count active grid slots at the given threshold.
+
+    The default is the band within which the interior point's endgame and
+    the crossover read an entry as zero.
+    """
     if not threshold > 0:
         raise HandsOffError(f"threshold must be positive, got {threshold}")
     steps = np.abs(signal.as_steps())
@@ -144,11 +149,15 @@ def simulate_discrete(dp: DiscretizedPlant, signal: ControlSignal,
     return traj
 
 
-def check_fine_grid(N: int, substeps: int) -> None:
-    """Raise ProblemTooLarge if N * substeps fine steps pass the memory guard."""
-    if N * substeps > MEMORY_GUARD:
+def check_fine_grid(N: int, substeps: int, n: int) -> None:
+    """Raise ProblemTooLarge if the fine trajectory's floats pass the memory guard.
+
+    N * substeps fine steps of an n-state plant hold (N * substeps + 1) * n.
+    """
+    floats = (N * substeps + 1) * n
+    if floats > MEMORY_GUARD:
         raise ProblemTooLarge(
-            f"N*substeps = {N * substeps} exceeds the memory guard of {MEMORY_GUARD}")
+            f"(N*substeps + 1)*n = {floats} exceeds the memory guard of {MEMORY_GUARD}")
 
 
 def simulate_continuous(plant: PlantModel, signal: ControlSignal,
@@ -157,13 +166,13 @@ def simulate_continuous(plant: PlantModel, signal: ControlSignal,
 
     Each slot is advanced with the exact flow at step h/substeps, which
     is exact for an LTI plant under a held input.  Returns the fine
-    trajectory with N*substeps + 1 rows; more than the memory guard
+    trajectory with N*substeps + 1 rows; more floats than the memory guard
     raises ProblemTooLarge before anything is allocated.
     """
     if int(substeps) != substeps or substeps < 1:
         raise DimensionMismatch(f"substeps must be a positive integer, got {substeps}")
     substeps = int(substeps)
-    check_fine_grid(signal.N, substeps)
+    check_fine_grid(signal.N, substeps, plant.n)
     x0 = np.asarray(x0, dtype=float).ravel()
     n = plant.n
     if x0.size != n:
@@ -239,8 +248,7 @@ def _vertex_fuel(P: np.ndarray, cost: np.ndarray, r: int, target: np.ndarray,
     return fuel
 
 
-def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
-              options: SolverOptions = SolverOptions()) -> L0OracleResult:
+def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None) -> L0OracleResult:
     """Exhaustive minimum-support search over channel-time atoms.
 
     Enumerates supports by increasing cardinality; an atom is one
@@ -255,9 +263,9 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
     target is rejected outright; one SVD of the stacked columns gives the
     rank r of every other.  A support of k atoms is feasible exactly when
     one of its vertices u is: clipped to the box, u misses the target by
-    at most feas_tol in the L1 measure, and its fuel is h * lambda @ |u|.
-    For r = k the one candidate is the least-squares control, from the
-    same SVD.  For r < k each r-subset F of independent columns and each
+    at most FEAS_TOL (1 + |c|) in the L1 measure, and its fuel is
+    h * lambda @ |u|.  For r = k the one candidate is the least-squares
+    control, from the same SVD.  For r < k each r-subset F of independent columns and each
     sign vector sigma in {-1, +1}^r give one: the basis costate
     y = pinv(Phi_F^T)(h lambda_F sigma) fixes every other atom j at
     sign(Phi_j^T y), the maximum principle's sign law, and F takes the
@@ -272,7 +280,7 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
         raise ExhaustiveBoundExceeded(
             f"m*N = {K} exceeds the exhaustive enumeration bound of {EXHAUSTIVE_BOUND}")
     lam = np.tile(np.ones(dp.m) if weights is None else validate_weights(weights, dp.m), dp.N)
-    feas_tol = options.feas_tol * (1.0 + float(np.linalg.norm(dp.c)))
+    feas_tol = FEAS_TOL * (1.0 + float(np.linalg.norm(dp.c)))
     target = -dp.c
     if np.max(np.abs(target), initial=0.0) <= feas_tol:
         return L0OracleResult(min_support=0, witness_supports=Supports(np.empty((1, 0))),
@@ -321,28 +329,27 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None,
         f"no support of size <= {K} admits a feasible control")
 
 
-def verify_equivalence(problem: ControlProblem,
-                       options: SolverOptions = SolverOptions(),
-                       ) -> tuple[EquivalenceReport, SolveReport]:
+def verify_equivalence(problem: ControlProblem, *,
+                       polish: bool = True) -> tuple[EquivalenceReport, SolveReport]:
     """Run the exhaustive oracle, solve, and compare support cardinalities.
 
     The oracle runs first, so an instance past ``EXHAUSTIVE_BOUND`` or
     with no feasible control raises its typed error before any solve.
     The verdict is cardinality equality plus membership of the reported
     support in the minimal-cardinality feasible family; solution identity
-    is deliberately not compared since ties are common.  Returns the
-    report pair (equivalence, solve).
+    is deliberately not compared since ties are common.  The support is
+    the entries above ``_BAND``, and ``polish`` is ``solve``'s.  Returns
+    the report pair (equivalence, solve).
     """
     dp = build_reachability(problem)
-    oracle = l0_oracle(dp, weights=problem.weights, options=options)
-    report = solve_discretized(dp, problem.weights, options)
+    oracle = l0_oracle(dp, weights=problem.weights)
+    report = solve_discretized(dp, problem.weights, polish=polish)
     if report.status is not SolveStatus.OPTIMAL:
         raise HandsOffError(
             f"equivalence check needs an optimal solve, got {report.status.value}: "
             f"{report.reason}")
 
-    thr = options.sparsity_threshold
-    support_set = tuple(np.flatnonzero(np.abs(report.signal.U) > thr).tolist())
+    support_set = tuple(np.flatnonzero(np.abs(report.signal.U) > _BAND).tolist())
     l1_support = len(support_set)
     agree = (l1_support == oracle.min_support
              and support_set in set(oracle.witness_supports))

@@ -30,7 +30,7 @@ from .discretize import build_reachability
 from .errors import HandsOffError, RankDeficient
 from .interior_point import SolveStatus
 from .model import ControlProblem, ControlSignal, read_problem, write_signal
-from .solver import SolverOptions, solve, solve_discretized
+from .solver import solve, solve_discretized
 from . import analysis
 
 SCHEMA = "handsoff-result/3"
@@ -74,8 +74,8 @@ def _emit(args: argparse.Namespace, problem: ControlProblem, fields: dict,
         args.out.write_text(text)
 
 
-def _sparsity_doc(signal: ControlSignal, threshold: float) -> dict:
-    rep = sparsity(signal, threshold)
+def _sparsity_doc(signal: ControlSignal) -> dict:
+    rep = sparsity(signal)
     return {
         "support_measure": rep.support_measure,
         "hands_off_ratio": rep.hands_off_ratio,
@@ -84,7 +84,7 @@ def _sparsity_doc(signal: ControlSignal, threshold: float) -> dict:
     }
 
 
-def _solve_doc(report, threshold: float) -> dict:
+def _solve_doc(report) -> dict:
     doc = {
         "status": report.status.value,
         "objective": report.objective,
@@ -99,7 +99,7 @@ def _solve_doc(report, threshold: float) -> dict:
         "reason": report.reason,
     }
     if report.signal is not None:
-        doc["sparsity"] = _sparsity_doc(report.signal, threshold)
+        doc["sparsity"] = _sparsity_doc(report.signal)
     return doc
 
 
@@ -111,38 +111,37 @@ def _status_exit(status: SolveStatus) -> int:
     return EXIT_ERROR
 
 
-def _solve_input(path: Path, options: SolverOptions, substeps: int | None = None):
+def _solve_input(args: argparse.Namespace, substeps: int | None = None):
     """Read the input problem, discretize it once, and solve it.
 
     ``substeps`` is the fine grid a later simulation needs; it is checked
     against the memory guard before any discretization or solve.
     Returns (problem, dp, report); callers reuse dp for every later stage.
     """
-    problem = read_problem(path.read_text())
+    problem = read_problem(args.input.read_text())
     if substeps is not None:
-        check_fine_grid(problem.N, substeps)
+        check_fine_grid(problem.N, substeps, problem.plant.n)
     dp = build_reachability(problem)
-    return problem, dp, solve_discretized(dp, problem.weights, options)
+    return problem, dp, solve_discretized(dp, problem.weights, polish=not args.no_polish)
 
 
-def cmd_solve(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
-    problem, dp, report = _solve_input(args.input, options)
+def cmd_solve(args: argparse.Namespace) -> _Outcome:
+    problem, dp, report = _solve_input(args)
     if report.signal is not None and args.csv is not None:
         traj = simulate_discrete(dp, report.signal, problem.x0)
         args.csv.write_text(write_signal(report.signal, traj))
-    return (problem, _solve_doc(report, options.sparsity_threshold),
-            _status_exit(report.status))
+    return problem, _solve_doc(report), _status_exit(report.status)
 
 
-def cmd_compare(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
-    problem, dp, report = _solve_input(args.input, options)
-    fields = {"l1": _solve_doc(report, options.sparsity_threshold)}
+def cmd_compare(args: argparse.Namespace) -> _Outcome:
+    problem, dp, report = _solve_input(args)
+    fields = {"l1": _solve_doc(report)}
     try:
         baseline, violated = min_energy_baseline(dp)
         fields["min_energy"] = {
             "status": "ok",
             "bound_violation": violated,
-            "sparsity": _sparsity_doc(baseline, options.sparsity_threshold),
+            "sparsity": _sparsity_doc(baseline),
         }
     except RankDeficient as exc:
         baseline = None
@@ -172,7 +171,7 @@ def _sweep_instance(problem: ControlProblem, key: str, value: float) -> ControlP
     return dataclasses.replace(problem, weights=problem.weights * value)
 
 
-def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
+def cmd_sweep(args: argparse.Namespace) -> _Outcome:
     if not (args.sweep_T or args.sweep_scale):
         raise HandsOffError("sweep needs --sweep-T or --sweep-scale")
     problem = read_problem(args.input.read_text())
@@ -181,7 +180,7 @@ def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
     for value in grid:
         row = {key: value}
         try:
-            report = solve(_sweep_instance(problem, key, value), options)
+            report = solve(_sweep_instance(problem, key, value), polish=not args.no_polish)
         except HandsOffError as exc:
             row.update(status="error", error=str(exc))
             rows.append(row)
@@ -189,7 +188,7 @@ def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
         row.update(status=report.status.value, error=None,
                    objective=report.objective, iterations=report.iterations)
         if report.signal is not None:
-            rep = sparsity(report.signal, options.sparsity_threshold)
+            rep = sparsity(report.signal)
             row.update(support_measure=rep.support_measure,
                        hands_off_ratio=rep.hands_off_ratio)
         rows.append(row)
@@ -201,9 +200,9 @@ def cmd_sweep(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
     return problem, {"rows": rows, "objective_nonincreasing": nonincreasing}, EXIT_OK
 
 
-def cmd_verify_equivalence(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
+def cmd_verify_equivalence(args: argparse.Namespace) -> _Outcome:
     problem = read_problem(args.input.read_text())
-    equivalence, report = analysis.verify_equivalence(problem, options)
+    equivalence, report = analysis.verify_equivalence(problem, polish=not args.no_polish)
     fields = {
         "agree": equivalence.agree,
         "l1_support": equivalence.l1_support,
@@ -219,12 +218,12 @@ def cmd_verify_equivalence(args: argparse.Namespace, options: SolverOptions) -> 
     return problem, fields, EXIT_OK if equivalence.agree else EXIT_DISAGREE
 
 
-def cmd_simulate(args: argparse.Namespace, options: SolverOptions) -> _Outcome:
+def cmd_simulate(args: argparse.Namespace) -> _Outcome:
     substeps = args.substeps
     if substeps < 1:
         raise HandsOffError("--substeps must be >= 1")
-    problem, dp, report = _solve_input(args.input, options, substeps)
-    fields = {**_solve_doc(report, options.sparsity_threshold), "substeps": substeps}
+    problem, dp, report = _solve_input(args, substeps)
+    fields = {**_solve_doc(report), "substeps": substeps}
     if report.signal is not None:
         coarse = simulate_discrete(dp, report.signal, problem.x0)
         fine = simulate_continuous(problem.plant, report.signal, problem.x0, substeps)
@@ -276,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="result document path (default: stdout)")
         p.add_argument("--csv", type=Path, default=None, help="trajectory CSV path")
-        p.add_argument("--opt-tol", type=float, default=1e-8,
-                       help="interior-point optimality tolerance")
-        p.add_argument("--feas-tol", type=float, default=1e-6,
-                       help="terminal feasibility tolerance")
-        p.add_argument("--threshold", type=float, default=1e-6,
-                       help="sparsity threshold")
         p.add_argument("--no-polish", action="store_true",
                        help="skip the sparse vertex crossover")
         if name == "simulate":
@@ -303,11 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         # "infeasible" here, so a usage error reports EXIT_ERROR instead
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        options = SolverOptions(opt_tol=args.opt_tol, feas_tol=args.feas_tol,
-                                sparsity_threshold=args.threshold,
-                                polish=not args.no_polish)
         started = time.perf_counter()
-        problem, fields, code = _COMMANDS[args.subcommand](args, options)
+        problem, fields, code = _COMMANDS[args.subcommand](args)
         _emit(args, problem, fields, started)
         return code
     except (HandsOffError, OSError) as exc:

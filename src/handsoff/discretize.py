@@ -122,13 +122,15 @@ def build_reachability(problem: ControlProblem) -> DiscretizedPlant:
     times the last min(L, N - L) blocks fills the ones before them.  The
     same P = Ad^(2^i) multiply x0 for each bit 2^i of N, giving c = Ad^N x0.
     A plant that grows too fast for float64 over the horizon raises
-    NonFiniteInput here, before any later stage sees the overflow.
+    NonFiniteInput here, before any later stage sees the overflow.  Phi's
+    n*m*N floats past the memory guard raise ProblemTooLarge before
+    anything is allocated.
     """
     n, m, N = problem.plant.n, problem.plant.m, int(problem.N)
-    if m * N > MEMORY_GUARD:
-        raise ProblemTooLarge(f"m*N = {m * N} exceeds the memory guard of {MEMORY_GUARD}")
-    h = problem.T / N
     K = m * N
+    if n * K > MEMORY_GUARD:
+        raise ProblemTooLarge(f"n*m*N = {n * K} exceeds the memory guard of {MEMORY_GUARD}")
+    h = problem.T / N
     Phi = np.empty((n, K))
     with np.errstate(over="ignore", invalid="ignore"):
         Ad, Bd = zoh_discretize(problem.plant, h)

@@ -52,7 +52,7 @@ nearly absolute when the fuel is small, so once it holds an endgame
 measures the gap relative to the fuel, floored at the smallest weight,
 and keeps stepping while that gap stays above the tolerance or more
 than r entries of v are fractional, strictly inside (1e-6, 1 - 1e-6) in
-magnitude, the crossover's default band: a vertex of the box program
+magnitude, the crossover's band: a vertex of the box program
 has at most r.  The iterate that met the stop is kept, and each later
 step replaces it only if it meets the stop again and halves the
 fuel-relative gap; any other step ends the solve with the kept iterate.

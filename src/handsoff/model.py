@@ -21,8 +21,9 @@ from .errors import (
     ParseError,
 )
 
-# Reject problems whose stacked control vector would exceed this length;
-# the reachability matrix is dense n x (m*N).
+# Reject problems whose largest dense array would hold more floats than
+# this: the n x (m*N) reachability matrix, or a simulation's fine
+# trajectory of (N*substeps + 1) x n.
 MEMORY_GUARD = 10**7
 
 

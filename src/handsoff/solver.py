@@ -36,7 +36,7 @@ feasible, and the priced columns; when both are empty it is the last
 slot.
 
 From then on the loop stops once the restricted primal P, which is
-feasible for the full program, is within ``opt_tol * (1 + |P|)`` of D;
+feasible for the full program, is within ``OPT_TOL * (1 + |P|)`` of D;
 otherwise the columns with the largest relative reduced cost, at most
 ``_WORKING_SET``, join the set, and the columns deep in the round's dead
 zone, reduced cost <= -``_DEEP`` w_j, leave it.  A column leaves at most
@@ -52,8 +52,8 @@ the last round's program.  The reported ``lp_objective`` and
 
 One check decides the returned control.  Each candidate is clipped into
 the box |u| <= 1 and judged on the full program: its terminal error
-||c + Phi U|| is at most feas_tol * (1 + |x0|), and its fuel is within
-opt_tol * (1 + |fuel|) of D on either side.  D bounds the fuel of every
+||c + Phi U|| is at most FEAS_TOL * (1 + |x0|), and its fuel is within
+OPT_TOL * (1 + |fuel|) of D on either side.  D bounds the fuel of every
 exactly feasible control from below, so a fuel above it is the loop's
 open gap, and a fuel below it was paid for with terminal error, not
 found in a cheaper control.  The crossover's vertex is kept only if it
@@ -68,7 +68,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscretizedPlant, build_reachability
-from .errors import HandsOffError
 from .interior_point import _BAND, IPResult, L1Program, SolveStatus, _is_farkas_ray, solve_ip
 from .model import ControlProblem, ControlSignal, validate_weights
 
@@ -86,26 +85,11 @@ _HELD = 1e-9
 # A column leaves the working set once an optimal round's costate puts it
 # this deep in the dead zone: |Phi_j^T y| <= (1 - _DEEP) w_j.
 _DEEP = 0.01
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tolerances and switches for the solve pipeline.
-
-    Construction raises HandsOffError unless each tolerance is finite and
-    positive: NaN passes a "<= 0" test and inf accepts any control.
-    """
-
-    opt_tol: float = 1e-8
-    feas_tol: float = 1e-6
-    sparsity_threshold: float = 1e-6
-    polish: bool = True
-
-    def __post_init__(self):
-        for name in ("opt_tol", "feas_tol", "sparsity_threshold"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise HandsOffError(f"{name} must be finite and positive, got {value}")
+# The certificate's tolerances: an optimal control's fuel is within
+# OPT_TOL (1 + |fuel|) of D and its terminal error within
+# FEAS_TOL (1 + |x0|).
+OPT_TOL = 1e-8
+FEAS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,15 +104,14 @@ class SolveReport:
     or None when that round gave no verdict: for an optimal status the y
     that priced D, for an infeasible one the Farkas ray.
     ``unpolished_support`` counts the entries of the interior-point
-    control above the sparsity threshold, before the crossover.
+    control above ``_BAND``, before the crossover.
     ``iterations`` sums the interior-point iterations of every round,
     the endgame steps of ``solve_ip`` included, and ``pricing_rounds``
     counts the rounds (``solve_ip`` calls), the coarse round included.
     ``reason`` names the check that chose a status other than optimal,
     and is empty for an optimal one.  ``polish_applied`` says that the
     crossover's vertex passed the final check and is the signal, and
-    ``crossover_pins`` counts the entries it pinned.  The sparsity
-    threshold changes ``unpolished_support`` only.
+    ``crossover_pins`` counts the entries it pinned.
     """
 
     status: SolveStatus
@@ -292,14 +275,14 @@ def _best(score: np.ndarray) -> np.ndarray:
     return new
 
 
-def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solve:
+def _column_generation(lp: L1Program, m: int, N: int) -> _L1Solve:
     """Solve ``lp`` on a working set of columns priced by the dead-zone law.
 
     See the module docstring.  The coarse control's support is its entries
     above ``_HELD``.  After a fine optimal round that adds columns, those
     with |Phi_j^T y| <= (1 - ``_DEEP``) w_j leave the set, each at most
     once; the round's support is on the dead-zone edge and stays.  An
-    optimal status always carries P - D <= opt_tol * (1 + |P|) with D
+    optimal status always carries P - D <= OPT_TOL * (1 + |P|) with D
     priced over every column.
     """
     K = lp.M.shape[1]
@@ -310,7 +293,7 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     left = np.zeros(K, dtype=bool)  # columns that have left the set once
     rounds = iterations = 0
     while True:
-        ip = solve_ip(sub, tol=opt_tol)
+        ip = solve_ip(sub, tol=OPT_TOL)
         rounds += 1
         iterations += ip.iterations
         status, dual = ip.status, float("nan")
@@ -326,7 +309,7 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
         if status is SolveStatus.OPTIMAL:
             reduced = reach - lp.w
             dual = float(lp.b @ ip.y - np.maximum(reduced, 0.0).sum())
-            if not coarse and ip.objective - dual <= opt_tol * (1.0 + abs(ip.objective)):
+            if not coarse and ip.objective - dual <= OPT_TOL * (1.0 + abs(ip.objective)):
                 break
             with np.errstate(divide="ignore", invalid="ignore"):
                 new = _best(np.where(outside & (reduced > 0.0), reduced / lp.w, 0.0))
@@ -350,22 +333,21 @@ def _column_generation(lp: L1Program, m: int, N: int, opt_tol: float) -> _L1Solv
     return _L1Solve(status, ip, sub, cols, dual, rounds, iterations)
 
 
-def solve(problem: ControlProblem,
-          options: SolverOptions = SolverOptions()) -> SolveReport:
+def solve(problem: ControlProblem, *, polish: bool = True) -> SolveReport:
     """Full pipeline: discretize, solve, crossover, report."""
-    return solve_discretized(build_reachability(problem), problem.weights, options)
+    return solve_discretized(build_reachability(problem), problem.weights, polish=polish)
 
 
-def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
-                      options: SolverOptions = SolverOptions()) -> SolveReport:
+def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray, *,
+                      polish: bool = True) -> SolveReport:
     """Solve, crossover and report on already discretized data.
 
     For callers that hold ``build_reachability(problem)`` and reuse it;
-    ``weights`` are the problem's per-channel weights.  The crossover's
-    vertex and then the interior point's control, each clipped into the
-    box and scattered into the full U, face the check of the module
-    docstring once each; the first that passes is returned, and a failing
-    interior control is reported.
+    ``weights`` are the problem's per-channel weights.  With ``polish``
+    the crossover runs.  Its vertex and then the interior point's
+    control, each clipped into the box and scattered into the full U,
+    face the check of the module docstring once each; the first that
+    passes is returned, and a failing interior control is reported.
     The objective is h * sum lambda |u| of that control, and the terminal
     error is the Euclidean norm of c + Phi @ U, inf past float64.
     """
@@ -373,7 +355,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     objective = terminal_error = float("nan")
     U = U_raw = None
     applied, pins = False, 0
-    sol = _column_generation(lp, dp.m, dp.N, options.opt_tol)
+    sol = _column_generation(lp, dp.m, dp.N)
     ip, status = sol.ip, sol.status
     if status is not SolveStatus.OPTIMAL:
         if status is ip.status:
@@ -386,17 +368,17 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
     else:
         U_raw = np.clip(ip.x, -1.0, 1.0)
         candidates = [U_raw]
-        if options.polish:
+        if polish:
             vertex, _, pins = polish_to_vertex(sol.lp, U_raw)
             candidates = [vertex, U_raw]
-        bound = options.feas_tol * (1.0 + float(np.linalg.norm(dp.x0)))
+        bound = FEAS_TOL * (1.0 + float(np.linalg.norm(dp.x0)))
         U = np.zeros(dp.m * dp.N)
         for U_sub in candidates:
             U[sol.cols] = U_sub
             with np.errstate(over="ignore"):
                 terminal_error = float(np.linalg.norm(dp.c + dp.Phi @ U))
             objective = float(lp.w @ np.abs(U))
-            gap, tol = objective - sol.dual_objective, options.opt_tol * (1.0 + abs(objective))
+            gap, tol = objective - sol.dual_objective, OPT_TOL * (1.0 + abs(objective))
             if not terminal_error <= bound:
                 reason = (f"terminal error {terminal_error:.3g} > "
                           f"feas_tol (1 + |x0|) = {bound:.3g}")
@@ -419,8 +401,7 @@ def solve_discretized(dp: DiscretizedPlant, weights: np.ndarray,
         costate=ip.y,
         iterations=sol.iterations,
         signal=None if U is None else ControlSignal(U=U, h=dp.h, m=dp.m, N=dp.N),
-        unpolished_support=0 if U_raw is None else int(np.count_nonzero(
-            np.abs(U_raw) > options.sparsity_threshold)),
+        unpolished_support=0 if U_raw is None else int(np.count_nonzero(np.abs(U_raw) > _BAND)),
         terminal_error=terminal_error,
         polish_applied=applied,
         crossover_pins=pins,

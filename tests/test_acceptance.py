@@ -12,7 +12,6 @@ import numpy as np
 from handsoff import (
     PlantModel,
     SolveStatus,
-    SolverOptions,
     build_reachability,
     l0_oracle,
     matrix_exponential,
@@ -144,7 +143,7 @@ def test_criterion_5_non_normal_instance_behavior():
     dp = build_reachability(problem)
     oracle = l0_oracle(dp)
     polished, _ = verify_equivalence(problem)
-    unpolished, _ = verify_equivalence(problem, SolverOptions(polish=False))
+    unpolished, _ = verify_equivalence(problem, polish=False)
     exit_code = cli_main(["verify-equivalence", "--no-polish",
                           "--input", str(PROBLEMS / "scalar_integrator.json"),
                           "--out", "/dev/null"])

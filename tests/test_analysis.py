@@ -19,7 +19,6 @@ from handsoff import (
     NonpositiveWeight,
     PlantModel,
     RankDeficient,
-    SolverOptions,
     build_reachability,
     l0_oracle,
     min_energy_baseline,
@@ -496,7 +495,7 @@ def test_verify_equivalence_exposes_polish_gap():
     with_polish, _ = verify_equivalence(problem)
     assert with_polish.agree
     assert with_polish.l1_support == 4
-    without, report = verify_equivalence(problem, SolverOptions(polish=False))
+    without, report = verify_equivalence(problem, polish=False)
     assert not without.agree
     assert without.l1_support == 8
     assert report.unpolished_support == 8

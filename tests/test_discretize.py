@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import handsoff.model
 from handsoff import (
     ControlProblem,
     DimensionMismatch,
@@ -191,3 +194,17 @@ def test_reachability_memory_guard():
     with pytest.raises(ProblemTooLarge):
         build_reachability(p)
 
+
+def test_reachability_memory_guard_counts_the_states():
+    # m*N = 300 000 is far inside the guard, but Phi would hold
+    # 40 * 300 000 floats (96 MB); nothing of that size is made
+    p = ControlProblem(plant=PlantModel(A=np.zeros((40, 40)), B=np.ones((40, 1))),
+                       x0=np.ones(40), T=1.0, N=300_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge, match=r"n\*m\*N = 12000000 exceeds"):
+            build_reachability(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < handsoff.model.MEMORY_GUARD

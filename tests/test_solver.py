@@ -15,7 +15,6 @@ from handsoff import (
     NonpositiveWeight,
     PlantModel,
     SolveStatus,
-    SolverOptions,
     build_lp,
     build_reachability,
     polish_to_vertex,
@@ -24,6 +23,8 @@ from handsoff import (
     solve_discretized,
     solve_ip,
 )
+from handsoff.interior_point import _BAND
+from handsoff.solver import OPT_TOL
 
 from _instances import (
     certified_rest_to_rest_fuel,
@@ -146,7 +147,7 @@ def test_unreachable_target_costate_is_an_exact_farkas_ray(problem, iterations):
     scalar_integrator(1.0 + 1e-9, 1.0, 10),
 ], ids=["double", "scalar"])
 def test_target_just_past_the_reachable_set(problem):
-    # 1e-9 past the boundary, within feas_tol: the interior point reaches
+    # 1e-9 past the boundary, within FEAS_TOL: the interior point reaches
     # its optimal stop, but the costate it returns already meets the Farkas
     # inequality b @ y > sum_j |Phi_j^T y| (on the scalar integrator
     # D = 1.0000000019 against a total weight of 1), which certifies the
@@ -227,7 +228,7 @@ def test_polish_never_degrades():
                                    int(rng.integers(6, 30)),
                                    T=float(rng.uniform(1.0, 5.0)))
         report = solve(problem)
-        unpolished = solve(problem, SolverOptions(polish=False)).signal
+        unpolished = solve(problem, polish=False).signal
         assert report.status is SolveStatus.OPTIMAL
         raw = unpolished.U
         pol = report.signal.U
@@ -241,7 +242,7 @@ def test_polish_recovers_sparse_vertex_on_symmetric_face():
     problem = scalar_integrator(1.0, 2.0, 8)
     report = solve(problem)
     assert report.polish_applied
-    unpolished = solve(problem, SolverOptions(polish=False)).signal.U
+    unpolished = solve(problem, polish=False).signal.U
     polished = report.signal.U
     assert np.count_nonzero(np.abs(unpolished) > 1e-6) == 8
     assert report.unpolished_support == 8
@@ -253,7 +254,7 @@ def test_polish_recovers_sparse_vertex_on_symmetric_face():
 
 def test_polish_disabled_keeps_interior_point():
     problem = scalar_integrator(1.0, 2.0, 8)
-    report = solve(problem, SolverOptions(polish=False))
+    report = solve(problem, polish=False)
     assert not report.polish_applied
     lp = build_lp(build_reachability(problem), np.array([1.0]))
     assert np.array_equal(report.signal.U, np.clip(solve_ip(lp).x, -1.0, 1.0))
@@ -265,7 +266,7 @@ def test_polish_to_vertex_direct_call_on_unique_optimum():
     problem = double_integrator([1.0, 0.0], 5.0, 8)
     dp = build_reachability(problem)
     lp = build_lp(dp, np.array([1.0]))
-    report = solve(problem, SolverOptions(polish=False))
+    report = solve(problem, polish=False)
     U0 = report.signal.U
     U, accepted, _ = polish_to_vertex(lp, U0)
     assert accepted
@@ -320,7 +321,7 @@ def test_terminal_check_names_itself():
     # e^100-sized roundoff; without the crossover the terminal check fails
     problem = ControlProblem(plant=PlantModel(A=[[5.0]], B=[[1.0]]), x0=[0.1],
                              T=20.0, N=200)
-    report = solve(problem, SolverOptions(polish=False))
+    report = solve(problem, polish=False)
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.terminal_error > 1e20
     assert report.reason.startswith("terminal error")
@@ -335,7 +336,7 @@ def test_terminal_norm_past_float64_fails_without_a_warning(a, polish):
     # terminal residual overflows; it reads inf and fails the check
     problem = ControlProblem(plant=PlantModel(A=[[a]], B=[[1.0]]), x0=[0.01],
                              T=20.0, N=200)
-    report = solve(problem, SolverOptions(polish=polish))
+    report = solve(problem, polish=polish)
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.terminal_error == np.inf
     assert report.reason.startswith("terminal error inf > ")
@@ -350,22 +351,6 @@ def test_unstable_plant_below_the_norm_overflow_solves():
     assert report.status is SolveStatus.OPTIMAL and report.polish_applied
 
 
-@pytest.mark.parametrize("threshold", [0.02, 1e-9])
-def test_sparsity_threshold_changes_only_the_report(threshold):
-    # the crossover snaps at the interior point's band, so a threshold
-    # above the +-1/97 entries of this optimum leaves the vertex alone
-    problem = double_integrator([1.0, 0.0], 10.0, 100)
-    default = solve(problem)
-    report = solve(problem, SolverOptions(sparsity_threshold=threshold))
-    assert report.status is default.status is SolveStatus.OPTIMAL
-    assert report.polish_applied and default.polish_applied
-    assert np.array_equal(report.signal.U, default.signal.U)
-    assert report.objective == default.objective == 0.20206185567010204
-    assert report.crossover_pins == default.crossover_pins
-    unpolished = solve(problem, SolverOptions(polish=False)).signal.U
-    assert report.unpolished_support == _support(unpolished, threshold)
-
-
 @pytest.mark.parametrize("fake", ["extra_fuel", "misses_target", "below_D"])
 def test_final_check_not_the_crossover_decides(fake, monkeypatch):
     # a vertex the crossover calls accepted is still judged by the check:
@@ -375,7 +360,7 @@ def test_final_check_not_the_crossover_decides(fake, monkeypatch):
     import handsoff.solver
 
     problem = scalar_integrator(1.0, 2.0, 8)
-    interior = solve(problem, SolverOptions(polish=False))
+    interior = solve(problem, polish=False)
     if fake == "extra_fuel":
         V = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 0.0, 0.0])
     elif fake == "misses_target":
@@ -388,13 +373,6 @@ def test_final_check_not_the_crossover_decides(fake, monkeypatch):
     assert report.status is SolveStatus.OPTIMAL
     assert not report.polish_applied
     assert np.array_equal(report.signal.U, interior.signal.U)
-
-
-@pytest.mark.parametrize("field", ["opt_tol", "feas_tol", "sparsity_threshold"])
-@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
-def test_solver_options_check_themselves(field, value):
-    with pytest.raises(HandsOffError, match="must be finite and positive"):
-        SolverOptions(**{field: value})
 
 
 @pytest.mark.parametrize("make", [
@@ -421,8 +399,11 @@ def test_solve_is_deterministic():
     problem = double_integrator([1.0, 0.0], 10.0, 100)
     r1 = solve(problem)
     r2 = solve(problem)
+    assert r1.status is r2.status is SolveStatus.OPTIMAL
+    assert r1.polish_applied and r2.polish_applied
     assert np.array_equal(r1.signal.U, r2.signal.U)
-    assert r1.objective == r2.objective
+    assert r1.objective == r2.objective == 0.20206185567010204
+    assert r1.crossover_pins == r2.crossover_pins
     assert r1.iterations == r2.iterations
 
 
@@ -576,11 +557,10 @@ def test_crossover_invariants(make, working_set, at_vertex, monkeypatch):
     (lp, U0, (U, accepted, steps)), = calls
     n = lp.M.shape[0]
     assert accepted and steps == report.crossover_pins
-    thr = SolverOptions().sparsity_threshold
-    before = np.count_nonzero((np.abs(U0) > thr) & (np.abs(U0) < 1.0 - thr))
+    before = np.count_nonzero((np.abs(U0) > _BAND) & (np.abs(U0) < 1.0 - _BAND))
     if at_vertex:
         assert before <= n
-        assert report.unpolished_support == _support(report.signal.U, thr)
+        assert report.unpolished_support == _support(report.signal.U, _BAND)
     else:
         assert steps > 0
     frac = np.flatnonzero((U != 0.0) & (np.abs(U) < 1.0))
@@ -588,7 +568,7 @@ def test_crossover_invariants(make, working_set, at_vertex, monkeypatch):
     assert np.linalg.matrix_rank(lp.M[:, frac]) == frac.size
     assert report.crossover_pins == before - frac.size
     J = float(lp.w @ np.abs(U))
-    assert J - report.dual_objective <= SolverOptions().opt_tol * (1.0 + J)
+    assert J - report.dual_objective <= OPT_TOL * (1.0 + J)
     assert report.objective == pytest.approx(fuel_reference(problem).fun, rel=1e-8)
 
 
@@ -735,9 +715,8 @@ def test_pruned_rounds_never_raise_the_primal(seed, monkeypatch):
     rounds = _recorded_rounds(monkeypatch)
     report = solve(problem)
     assert report.status is SolveStatus.OPTIMAL and len(rounds) > 1
-    tol = SolverOptions().opt_tol
     P = [res.objective for _, res in rounds if res.status is SolveStatus.OPTIMAL]
-    assert all(b <= a + tol * (1.0 + abs(a)) for a, b in zip(P, P[1:]))
+    assert all(b <= a + OPT_TOL * (1.0 + abs(a)) for a, b in zip(P, P[1:]))
     Phi = build_reachability(problem).Phi
     sets = [set(_full_columns(Phi, lp).tolist()) for lp, _ in rounds[1:]]
     left = [j for a, b in zip(sets, sets[1:]) for j in a - b]
@@ -816,7 +795,7 @@ def test_overshoot_is_clipped_without_a_re_solve(overshooting_calls, monkeypatch
 
     problem = double_integrator([1.0, 0.0], 10.0, 100)
     original = handsoff.solver.solve_ip
-    for options in [SolverOptions(), SolverOptions(polish=False)]:
+    for polish in (True, False):
         returned = []
 
         def overshooting(*args, **kwargs):
@@ -829,13 +808,13 @@ def test_overshoot_is_clipped_without_a_re_solve(overshooting_calls, monkeypatch
             return res
 
         monkeypatch.setattr(handsoff.solver, "solve_ip", overshooting)
-        report = solve(problem, options)
+        report = solve(problem, polish=polish)
         x, = returned
         assert np.max(np.abs(x)) > 1.0 + 1e-9
         assert report.status is SolveStatus.OPTIMAL and report.reason == ""
         assert report.pricing_rounds == 1
-        assert report.polish_applied is options.polish
-        if options.polish:
+        assert report.polish_applied is polish
+        if polish:
             assert report.objective == 0.20206185567010204
         else:
             assert np.array_equal(report.signal.U, np.clip(x, -1.0, 1.0))
