@@ -1,5 +1,8 @@
 """Sparsity accounting, simulation, baselines, and the exhaustive
 minimum-support search that cross-checks the L1 route on small instances.
+
+An entry is zero within the interior point's band ``_BAND``, a rank is
+its ``numerical_rank``, and both simulations run one held-input recursion.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from .errors import (
     ProblemTooLarge,
     RankDeficient,
 )
-from .interior_point import _BAND
-from .model import MEMORY_GUARD, ControlProblem, ControlSignal, PlantModel, validate_weights
-from .solver import FEAS_TOL, SolveReport, SolveStatus, solve_discretized
+from .interior_point import _BAND, numerical_rank
+from .model import MEMORY_GUARD, ControlProblem, ControlSignal, PlantModel
+from .solver import FEAS_TOL, SolveReport, SolveStatus, build_lp, solve_discretized
 
 # Exhaustive support enumeration is capped at this many atoms.
 EXHAUSTIVE_BOUND = 24
@@ -70,9 +73,9 @@ class SparsityReport:
     """Support accounting for a piecewise-constant control.
 
     support_measure is h times the number of grid slots where any channel
-    exceeds the threshold; per_channel_measure applies the same count per
-    channel, which is the discrete stand-in for the support measure of
-    each u_i.
+    exceeds ``threshold``, the interior point's band ``_BAND``;
+    per_channel_measure applies the same count per channel, which is the
+    discrete stand-in for the support measure of each u_i.
     """
 
     support_measure: float
@@ -106,25 +109,36 @@ class L0OracleResult:
     supports_checked: int
 
 
-def sparsity(signal: ControlSignal, threshold: float = _BAND) -> SparsityReport:
-    """Count active grid slots at the given threshold.
-
-    The default is the band within which the interior point's endgame and
-    the crossover read an entry as zero.
+def sparsity(signal: ControlSignal) -> SparsityReport:
+    """Count the active grid slots: those with an entry above ``_BAND``,
+    the band within which the interior point's endgame and the crossover
+    read an entry as zero.
     """
-    if not threshold > 0:
-        raise HandsOffError(f"threshold must be positive, got {threshold}")
-    steps = np.abs(signal.as_steps())
-    active_slots = np.any(steps > threshold, axis=1)
-    support = signal.h * int(np.count_nonzero(active_slots))
-    T = signal.T
-    per_channel = signal.h * np.count_nonzero(steps > threshold, axis=0).astype(float)
+    active = np.abs(signal.as_steps()) > _BAND
+    support = signal.h * int(np.count_nonzero(np.any(active, axis=1)))
     return SparsityReport(
         support_measure=support,
-        hands_off_ratio=(T - support) / T,
-        per_channel_measure=per_channel,
-        threshold=threshold,
+        hands_off_ratio=(signal.T - support) / signal.T,
+        per_channel_measure=signal.h * np.count_nonzero(active, axis=0).astype(float),
+        threshold=_BAND,
     )
+
+
+def _zoh_trajectory(Ad: np.ndarray, Bd: np.ndarray, signal: ControlSignal, x0,
+                    substeps: int) -> np.ndarray:
+    """The N*substeps + 1 states from x0 of x <- Ad x + Bd u[k], taken
+    ``substeps`` times in each slot k."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = Ad.shape[0]
+    if x0.size != n:
+        raise DimensionMismatch(f"x0 must have length {n}, got {x0.size}")
+    traj = np.empty((signal.N * substeps + 1, n))
+    traj[0] = x = x0
+    for k, u in enumerate(signal.as_steps()):
+        bu = Bd @ u
+        for i in range(1, substeps + 1):
+            traj[k * substeps + i] = x = Ad @ x + bu
+    return traj
 
 
 def simulate_discrete(dp: DiscretizedPlant, signal: ControlSignal,
@@ -133,20 +147,10 @@ def simulate_discrete(dp: DiscretizedPlant, signal: ControlSignal,
 
     Returns the (N+1) x n trajectory; the last row is the terminal state.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
     if signal.m != dp.m or signal.N != dp.N:
         raise DimensionMismatch(
             f"signal is ({signal.N}, {signal.m}), plant expects ({dp.N}, {dp.m})")
-    if x0.size != dp.n:
-        raise DimensionMismatch(f"x0 must have length {dp.n}, got {x0.size}")
-    steps = signal.as_steps()
-    traj = np.empty((dp.N + 1, dp.n))
-    traj[0] = x0
-    x = x0
-    for k in range(dp.N):
-        x = dp.Ad @ x + dp.Bd @ steps[k]
-        traj[k + 1] = x
-    return traj
+    return _zoh_trajectory(dp.Ad, dp.Bd, signal, x0, 1)
 
 
 def check_fine_grid(N: int, substeps: int, n: int) -> None:
@@ -165,34 +169,20 @@ def simulate_continuous(plant: PlantModel, signal: ControlSignal,
     """Integrate the continuous-time plant under the held control.
 
     Each slot is advanced with the exact flow at step h/substeps, which
-    is exact for an LTI plant under a held input.  Returns the fine
-    trajectory with N*substeps + 1 rows; more floats than the memory guard
-    raises ProblemTooLarge before anything is allocated.
+    is exact for an LTI plant under a held input; at one substep this is
+    ``simulate_discrete`` on the plant's own discretization, bit for bit.
+    Returns the fine trajectory with N*substeps + 1 rows; more floats than
+    the memory guard raises ProblemTooLarge before anything is allocated.
     """
     if int(substeps) != substeps or substeps < 1:
         raise DimensionMismatch(f"substeps must be a positive integer, got {substeps}")
     substeps = int(substeps)
     check_fine_grid(signal.N, substeps, plant.n)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = plant.n
-    if x0.size != n:
-        raise DimensionMismatch(f"x0 must have length {n}, got {x0.size}")
     if signal.m != plant.m:
         raise DimensionMismatch(
             f"signal has {signal.m} channels, plant has {plant.m}")
-    steps = signal.as_steps()
     Adf, Bdf = zoh_discretize(plant, signal.h / substeps)
-    traj = np.empty((signal.N * substeps + 1, n))
-    traj[0] = x0
-    x = x0
-    row = 1
-    for k in range(signal.N):
-        bu = Bdf @ steps[k]
-        for _ in range(substeps):
-            x = Adf @ x + bu
-            traj[row] = x
-            row += 1
-    return traj
+    return _zoh_trajectory(Adf, Bdf, signal, x0, substeps)
 
 
 def min_energy_baseline(dp: DiscretizedPlant) -> tuple[ControlSignal, bool]:
@@ -232,7 +222,7 @@ def _vertex_fuel(P: np.ndarray, cost: np.ndarray, r: int, target: np.ndarray,
     for basis in itertools.combinations(range(k), r):
         rest = [j for j in range(k) if j not in basis]
         W, sv, Vt = np.linalg.svd(P[:, :, basis], full_matrices=False)
-        ok = np.flatnonzero(sv[:, -1] > np.finfo(float).eps * max(n, r) * sv[:, 0])
+        ok = np.flatnonzero(numerical_rank(sv, n, r) == r)
         W, sv, Vt, cols, price = W[ok], sv[ok], Vt[ok], P[ok], cost[ok]
         fixed = cols[:, :, rest]
         u = np.empty((len(ok), k))
@@ -279,9 +269,9 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None) -> L0Orac
     if K > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundExceeded(
             f"m*N = {K} exceeds the exhaustive enumeration bound of {EXHAUSTIVE_BOUND}")
-    lam = np.tile(np.ones(dp.m) if weights is None else validate_weights(weights, dp.m), dp.N)
+    lp = build_lp(dp, np.ones(dp.m) if weights is None else weights)
+    cost, target = lp.w, lp.b
     feas_tol = FEAS_TOL * (1.0 + float(np.linalg.norm(dp.c)))
-    target = -dp.c
     if np.max(np.abs(target), initial=0.0) <= feas_tol:
         return L0OracleResult(min_support=0, witness_supports=Supports(np.empty((1, 0))),
                               certified_objective=0.0, supports_checked=1)
@@ -289,7 +279,6 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None) -> L0Orac
     n = dp.n
     abs_target = np.abs(target)[:, None]
     abs_Phi = np.abs(dp.Phi)
-    cost = dp.h * lam
     checked = 1
     for k in range(1, K + 1):
         combinations = itertools.combinations(range(K), k)
@@ -304,8 +293,7 @@ def l0_oracle(dp: DiscretizedPlant, weights: np.ndarray | None = None) -> L0Orac
             if len(idx):
                 P = np.moveaxis(dp.Phi[:, idx], 0, 1)
                 W, sv, Vt = np.linalg.svd(P, full_matrices=False)
-                # lstsq's rank rule at its default rcond
-                rank = np.count_nonzero(sv > np.finfo(float).eps * max(n, k) * sv[:, :1], axis=1)
+                rank = numerical_rank(sv, n, k)
                 full = rank == k
                 U = (((target @ W[full]) / sv[full])[:, None, :] @ Vt[full])[:, 0]
                 miss = (P[full] @ np.clip(U, -1.0, 1.0)[:, :, None])[:, :, 0] - target

@@ -75,13 +75,7 @@ def _emit(args: argparse.Namespace, problem: ControlProblem, fields: dict,
 
 
 def _sparsity_doc(signal: ControlSignal) -> dict:
-    rep = sparsity(signal)
-    return {
-        "support_measure": rep.support_measure,
-        "hands_off_ratio": rep.hands_off_ratio,
-        "per_channel_measure": rep.per_channel_measure,
-        "threshold": rep.threshold,
-    }
+    return dataclasses.asdict(sparsity(signal))
 
 
 def _solve_doc(report) -> dict:
@@ -194,7 +188,9 @@ def cmd_sweep(args: argparse.Namespace) -> _Outcome:
         rows.append(row)
     nonincreasing = True
     if key == "T":
-        values = [r["objective"] for r in rows if r.get("status") == "optimal"]
+        # in increasing T, whatever the order of the grid
+        optimal = sorted((r for r in rows if r["status"] == "optimal"), key=lambda r: r["T"])
+        values = [r["objective"] for r in optimal]
         nonincreasing = all(b <= a + 1e-12 * max(1.0, abs(a))
                             for a, b in zip(values, values[1:]))
     return problem, {"rows": rows, "objective_nonincreasing": nonincreasing}, EXIT_OK

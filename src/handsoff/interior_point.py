@@ -87,6 +87,11 @@ _BAND = 1e-6
 # Refinement of the KKT solves starts once mu is below this and the
 # primal residual fails to halve in a step.
 _REFINE_MU = 1e-6
+# The optimality tolerance: the interior point's stop, and the solver's
+# bound on an optimal control's |fuel - D| relative to 1 + |fuel|.
+OPT_TOL = 1e-8
+# The most iterations one solve takes.
+_MAXITER = 200
 
 
 class SolveStatus(Enum):
@@ -181,18 +186,24 @@ def _make_kkt_solver(G, theta):
     return solve
 
 
-def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
-    """Solve an L1 program to the requested relative tolerance.
+def numerical_rank(sv, rows: int, cols: int):
+    """Rank of a rows x cols matrix, or of each in a stack, from its singular values
+    ``sv`` in decreasing order: lstsq's default rule, sv > eps max(rows, cols) sv_max."""
+    return np.count_nonzero(sv > np.finfo(float).eps * max(rows, cols) * sv[..., :1], axis=-1)
+
+
+def solve_ip(lp: L1Program) -> IPResult:
+    """Solve an L1 program to the relative tolerance ``OPT_TOL``.
 
     Is optimal once the relative primal residual of the equality rows,
     the relative dual residual and the duality gap relative to
-    1 + |primal| all drop below ``tol``; the returned v lies in the box to
+    1 + |primal| all drop below ``OPT_TOL``; the returned v lies in the box to
     roundoff, and ``objective`` is its fuel w @ |v|.  Then, while the gap
-    relative to max(|primal|, min w) is above ``tol`` or more entries of
+    relative to max(|primal|, min w) is above ``OPT_TOL`` or more entries of
     v than the rank of M are fractional, inside (``_BAND``, 1 - ``_BAND``) in
     magnitude, the endgame keeps that iterate and steps on: a step that
     again meets the stop and halves that gap is kept in its place, and the
-    first step that does neither, is not finite or reaches ``maxiter``
+    first step that does neither, is not finite or reaches ``_MAXITER``
     returns the kept iterate, still optimal.  ``iterations`` counts every
     step taken, a last step not kept included.  An infeasible status
     carries in ``y`` the equality-row ray, an n-vector in the original row
@@ -211,7 +222,7 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
 
     # the orthonormal rows G = T M of the module docstring, and beq = T b
     W, sv, _ = np.linalg.svd(np.linalg.qr(lp.M.T, mode="r").T, full_matrices=False)
-    rank = int(np.count_nonzero(sv > max(n, K) * np.finfo(float).eps * sv[0]))
+    rank = int(numerical_rank(sv, n, K))
     W = W[:, :rank]
     T = W.T / sv[:rank, None]
     if rank < n:
@@ -293,21 +304,21 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             raw_d = math.sqrt(np.vdot(rd, rd)) / rd_norm0
             rho_p, rho_d = raw_p / tau, raw_d / tau
             # relative duality gap in the original objective units, so that a
-            # converged solve certifies |primal - dual| <= tol * (1 + |primal|)
+            # converged solve certifies |primal - dual| <= OPT_TOL * (1 + |primal|)
             rho_A = float(cscale * abs(cx - by) / (tau + cscale * abs(cx)))
 
             # The embedding converges with tau -> 0 exactly when no finite
             # optimal pair exists; ye @ T is then the Farkas ray, in
             # the program's units, that witnesses primal infeasibility.
             if kept is None and iteration and (
-                    (raw_p <= tol and raw_d <= tol and abs(rg) / rg_norm0 <= tol
-                     and tau <= tol * max(1.0, kappa))
-                    or (mu <= tol and tau <= tol * min(1.0, kappa))):
+                    (raw_p <= OPT_TOL and raw_d <= OPT_TOL and abs(rg) / rg_norm0 <= OPT_TOL
+                     and tau <= OPT_TOL * max(1.0, kappa))
+                    or (mu <= OPT_TOL and tau <= OPT_TOL * min(1.0, kappa))):
                 ray = ye @ T
                 if _is_farkas_ray(lp.b, ray, lp.M.T @ ray):
                     return finish(SolveStatus.INFEASIBLE, iteration, ray)
                 return finish(SolveStatus.NUMERICAL_FAILURE, iteration)
-            optimal = rho_p <= tol and rho_d <= tol and rho_A <= tol
+            optimal = rho_p <= OPT_TOL and rho_d <= OPT_TOL and rho_A <= OPT_TOL
             # the gap relative to the fuel, floored at the smallest weight (one
             # slot's fuel); weights all zero leave no fuel to measure by
             fuel = max(abs(cx), tau * c_min)
@@ -317,9 +328,9 @@ def solve_ip(lp: L1Program, tol: float = 1e-8, maxiter: int = 200) -> IPResult:
             if optimal:
                 kept, kept_rel = finish(SolveStatus.OPTIMAL, iteration), rel
                 v = np.abs(kept.x)
-                if rel <= tol and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= rank:
+                if rel <= OPT_TOL and np.count_nonzero((v > _BAND) & (v < 1.0 - _BAND)) <= rank:
                     return kept
-            if iteration >= maxiter:
+            if iteration >= _MAXITER:
                 return kept or finish(SolveStatus.ITERATION_LIMIT, iteration)
             iteration += 1
             refine = refine or (mu < _REFINE_MU and rho_p > _HALVING * last_rho_p)

@@ -179,6 +179,7 @@ def validate_weights(weights, m: int) -> np.ndarray:
 
 
 _REQUIRED_FIELDS = ("A", "B", "x0", "T", "N")
+_FIELDS = (*_REQUIRED_FIELDS, "weights")
 
 
 def _field_array(doc: dict, key: str) -> np.ndarray:
@@ -195,8 +196,8 @@ def read_problem(text: str) -> ControlProblem:
     """Parse a problem document (JSON object) into a validated problem.
 
     Schema: {"A": [[...]], "B": [[...]], "x0": [...], "T": number,
-    "N": integer, "weights": [...] (optional)}.  Matrices are arrays of
-    rows.
+    "N": integer, "weights": [...] or null (optional)}.  Matrices are
+    arrays of rows.  Any other key is a ParseError that names it.
     """
     try:
         doc = json.loads(text)
@@ -204,6 +205,9 @@ def read_problem(text: str) -> ControlProblem:
         raise ParseError("<document>", f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("<document>", "top level must be a JSON object")
+    if unknown := [key for key in doc if key not in _FIELDS]:
+        names = ", ".join(map(repr, unknown))
+        raise ParseError(unknown[0], f"problem document: unknown field {names}")
     for key in _REQUIRED_FIELDS:
         if key not in doc:
             raise ParseError(key)
@@ -217,7 +221,7 @@ def read_problem(text: str) -> ControlProblem:
     if isinstance(N, bool) or not isinstance(N, int):
         raise ParseError("N", "field 'N' must be an integer")
     weights = None
-    if "weights" in doc and doc["weights"] is not None:
+    if doc.get("weights") is not None:
         weights = _field_array(doc, "weights")
     return ControlProblem(plant=PlantModel(A=A, B=B), x0=x0, T=float(T), N=N,
                           weights=weights)

@@ -68,7 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscretizedPlant, build_reachability
-from .interior_point import _BAND, IPResult, L1Program, SolveStatus, _is_farkas_ray, solve_ip
+from .interior_point import (_BAND, OPT_TOL, IPResult, L1Program, SolveStatus, _is_farkas_ray,
+                             solve_ip)
 from .model import ControlProblem, ControlSignal, validate_weights
 
 # A null direction whose fuel slope is below this fraction of its
@@ -86,9 +87,8 @@ _HELD = 1e-9
 # this deep in the dead zone: |Phi_j^T y| <= (1 - _DEEP) w_j.
 _DEEP = 0.01
 # The certificate's tolerances: an optimal control's fuel is within
-# OPT_TOL (1 + |fuel|) of D and its terminal error within
-# FEAS_TOL (1 + |x0|).
-OPT_TOL = 1e-8
+# OPT_TOL (1 + |fuel|) of D, OPT_TOL being the interior point's stop,
+# and its terminal error within FEAS_TOL (1 + |x0|).
 FEAS_TOL = 1e-6
 
 
@@ -293,7 +293,7 @@ def _column_generation(lp: L1Program, m: int, N: int) -> _L1Solve:
     left = np.zeros(K, dtype=bool)  # columns that have left the set once
     rounds = iterations = 0
     while True:
-        ip = solve_ip(sub, tol=OPT_TOL)
+        ip = solve_ip(sub)
         rounds += 1
         iterations += ip.iterations
         status, dual = ip.status, float("nan")

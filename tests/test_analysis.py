@@ -13,7 +13,6 @@ from handsoff import (
     ControlSignal,
     DimensionMismatch,
     ExhaustiveBoundExceeded,
-    HandsOffError,
     InfeasibleProblem,
     NonFiniteInput,
     NonpositiveWeight,
@@ -38,6 +37,8 @@ from _instances import (
     scalar_integrator,
     twin_channel_problem,
 )
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def signal_of(values, h=0.1, m=1):
@@ -66,15 +67,6 @@ def test_sparsity_counts_slots():
     assert np.allclose(rep.per_channel_measure, [0.4])
 
 
-def test_sparsity_monotone_in_threshold():
-    rng = np.random.default_rng(30)
-    values = rng.uniform(-1, 1, 50)
-    s = signal_of(values)
-    measures = [sparsity(s, thr).support_measure
-                for thr in (1e-8, 1e-4, 1e-2, 0.5, 0.99)]
-    assert all(b <= a for a, b in zip(measures, measures[1:]))
-
-
 def test_sparsity_per_channel_for_two_inputs():
     steps = np.zeros((5, 2))
     steps[0, 0] = 1.0
@@ -83,11 +75,6 @@ def test_sparsity_per_channel_for_two_inputs():
     rep = sparsity(signal_of(steps, m=2))
     assert rep.support_measure == pytest.approx(0.2)
     assert np.allclose(rep.per_channel_measure, [0.2, 0.1])
-
-
-def test_sparsity_rejects_zero_threshold():
-    with pytest.raises(HandsOffError, match="threshold must be positive"):
-        sparsity(signal_of(np.ones(10)), 0.0)
 
 
 def test_simulate_discrete_homogeneous():
@@ -141,6 +128,21 @@ def test_terminal_state_consistency_with_reachability():
         traj = simulate_discrete(dp, s, problem.x0)
         predicted = dp.c + dp.Phi @ U
         assert np.linalg.norm(traj[-1] - predicted) <= 1e-10 * (1 + np.linalg.norm(predicted))
+
+
+@pytest.mark.parametrize("problem", [
+    *(pytest.param(read_problem(path.read_text()), id=path.stem)
+      for path in sorted(PROBLEMS.glob("*.json"))),
+    *(pytest.param(feasible_problem(np.random.default_rng(33 + i), i % 3 + 1, i % 2 + 1,
+                                    10 + 7 * i, T=1.0 + i), id=f"draw{i}") for i in range(5)),
+])
+def test_continuous_at_one_substep_is_discrete_bit_for_bit(problem):
+    # one substep is the plant's own discretization under the same recursion
+    dp = build_reachability(problem)
+    U = np.random.default_rng(problem.N).uniform(-1.0, 1.0, dp.m * dp.N)
+    s = ControlSignal(U=U, h=dp.h, m=dp.m, N=dp.N)
+    assert np.array_equal(simulate_discrete(dp, s, problem.x0),
+                          simulate_continuous(problem.plant, s, problem.x0, 1))
 
 
 def test_continuous_exact_flow_matches_discrete_at_grid():

@@ -217,6 +217,19 @@ def test_sweep_horizon_grid(tmp_path):
     assert doc["objective_nonincreasing"] is True
 
 
+def test_sweep_flag_reads_the_grid_in_increasing_T(tmp_path):
+    # the fuel falls with the horizon however the grid is ordered
+    out = tmp_path / "sweep.json"
+    code = run(["sweep", "--input", PROBLEMS / "double_integrator.json",
+                "--sweep-T", "10,7.5,5", "--out", out])
+    assert code == 0
+    doc = load(out)
+    assert [row["T"] for row in doc["rows"]] == [10.0, 7.5, 5.0]
+    values = [row["objective"] for row in doc["rows"]]
+    assert values[0] < values[1] < values[2]
+    assert doc["objective_nonincreasing"] is True
+
+
 def test_sweep_single_point_matches_solve(tmp_path):
     out_sweep = tmp_path / "sweep.json"
     out_solve = tmp_path / "solve.json"

@@ -137,9 +137,10 @@ def test_infeasible_instances_are_certified():
         assert lp.b @ y > np.abs(lp.M.T @ y).sum()
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
     lp = L1Program(M=[[1.0, 1.0]], b=[1.0], w=[1.0, 0.0])
-    res = solve_ip(lp, maxiter=1)
+    monkeypatch.setattr(interior_point, "_MAXITER", 1)
+    res = solve_ip(lp)
     assert res.status is SolveStatus.ITERATION_LIMIT
 
 
@@ -164,7 +165,7 @@ def assert_meets_the_stop(lp, res, tol):
 def test_returned_point_meets_the_stop():
     rng = np.random.default_rng(14)
     lp, _ = random_l1_program(rng, feasible=True)
-    res = solve_ip(lp, tol=1e-8)
+    res = solve_ip(lp)
     assert res.status is SolveStatus.OPTIMAL
     assert_meets_the_stop(lp, res, 1e-8)
 
@@ -176,14 +177,20 @@ def test_endgame_exit_returns_the_kept_iterate(exit, monkeypatch):
     problem = feasible_problem(np.random.default_rng(808), 4, 2, 500, T=1.0)
     lp = build_lp(build_reachability(problem), problem.weights)
     tol = 1e-8
+
+    def capped(maxiter):
+        with monkeypatch.context() as patch:
+            patch.setattr(interior_point, "_MAXITER", maxiter)
+            return solve_ip(lp)
+
     k = 1
-    while solve_ip(lp, tol=tol, maxiter=k).status is not SolveStatus.OPTIMAL:
+    while capped(k).status is not SolveStatus.OPTIMAL:
         k += 1
-    # the stop first holds at iteration k, where maxiter returns that iterate
-    kept = solve_ip(lp, tol=tol, maxiter=k)
+    # the stop first holds at iteration k, where _MAXITER returns that iterate
+    kept = capped(k)
     assert kept.iterations == k
     assert kept.objective - priced_dual(lp, kept.y) > tol * kept.objective
-    assert solve_ip(lp, tol=tol).iterations > k
+    assert solve_ip(lp).iterations > k
 
     if exit == "nonfinite_step":
         factors = []
@@ -201,7 +208,7 @@ def test_endgame_exit_returns_the_kept_iterate(exit, monkeypatch):
         # the refinement gate keys on the same halving of rho_p; keep it
         # off so that the solve reaches the unpatched iterate k
         monkeypatch.setattr(interior_point, "_REFINE_MU", 0.0)
-    res = solve_ip(lp, tol=tol)
+    res = solve_ip(lp)
     assert res.status is SolveStatus.OPTIMAL
     assert res.iterations == k + 1  # the step that was not kept counts
     assert np.array_equal(res.x, kept.x) and np.array_equal(res.y, kept.y)
@@ -225,8 +232,8 @@ def test_endgame_steps_on_to_a_vertex(monkeypatch):
     with monkeypatch.context() as patch:
         # no entry is inside an empty band, so the gap alone ends the solve
         patch.setattr(interior_point, "_BAND", 0.5)
-        first = solve_ip(lp, tol=tol)
-    res = solve_ip(lp, tol=tol)
+        first = solve_ip(lp)
+    res = solve_ip(lp)
     assert first.status is res.status is SolveStatus.OPTIMAL
     assert fractional(first.x) > n >= fractional(res.x)
     assert res.iterations > first.iterations
@@ -347,7 +354,7 @@ def test_zero_matrix_with_zero_target_gives_zero_control():
     (20, (1, 3, 4, 5, 7, 9)),
     (23, (1, 4, 5, 7, 9)),
 ])
-def test_feasible_fixed_support_fuel_program_is_solved(instance, support):
+def test_feasible_fixed_support_fuel_program_is_solved(instance, support, monkeypatch):
     # feasible fuel programs on one support of a reference instance, above
     # its minimum support, on which the interior point ran to its iteration
     # limit with the primal residual stalled between 1e-9 and 1e-6, the
@@ -358,7 +365,8 @@ def test_feasible_fixed_support_fuel_program_is_solved(instance, support):
     ref = linprog(np.concatenate([w, w]), A_eq=np.hstack([M, -M]), b_eq=-dp.c,
                   bounds=(0.0, 1.0), method="highs")
     assert ref.status == 0
-    res = solve_ip(L1Program(M, -dp.c, w), tol=1e-9)
+    monkeypatch.setattr(interior_point, "OPT_TOL", 1e-9)
+    res = solve_ip(L1Program(M, -dp.c, w))
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(ref.fun, rel=1e-8)
 

@@ -160,6 +160,16 @@ def test_read_rejects_malformed_document(doc, field):
     assert info.value.field == field
 
 
+def test_read_rejects_unknown_fields_by_name():
+    # a misspelled key is reported, never read as an omitted one
+    with pytest.raises(ParseError, match="unknown field 'wieghts'") as info:
+        read_problem(json.dumps(_with("wieghts", [5.0])))
+    assert info.value.field == "wieghts"
+    with pytest.raises(ParseError, match="unknown field 'wieghts', 'x1'"):
+        read_problem(json.dumps({**_with("wieghts", [5.0]), "x1": [0.0]}))
+    assert read_problem(json.dumps(_with("weights", None))).weights.tolist() == [1.0]
+
+
 def test_read_rejects_non_integer_N():
     doc = json.loads(DOUBLE_INTEGRATOR_DOC)
     doc["N"] = 10.5
